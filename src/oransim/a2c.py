@@ -8,6 +8,7 @@ float64 and deterministic for a given RNG.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,35 +158,6 @@ class FeedForwardNet:
             w += scale * dw
             b += scale * db
 
-    def step_from_logits(self, cache, grad_logits, lr, clip_norm=None):
-        """Fused backward + clipped ascent along the log-space gradient.
-
-        Equivalent to backward_from_logits followed by apply_step, but the
-        weight gradients are never materialized: the global norm uses
-        ||outer(d, a)||_F = ||d||*||a|| and each layer gets a scaled
-        rank-1 update. Saves two full passes over the weight matrices.
-        """
-        activations, pre_acts, _, _ = cache
-        deltas = [None] * len(self.weights)
-        delta = np.asarray(grad_logits, dtype=np.float64)
-        sq = 0.0
-        for i in range(len(self.weights) - 1, -1, -1):
-            a = activations[i]
-            sq += (delta @ delta) * (1.0 + a @ a)
-            deltas[i] = delta
-            if i > 0:
-                delta = self.weights[i].T @ delta
-                delta *= self._act_grad(pre_acts[i - 1], activations[i])
-        if not np.isfinite(sq):
-            raise NumericsError("non-finite gradient; aborting run")
-        scale = lr
-        if clip_norm is not None and clip_norm > 0.0 and sq > clip_norm ** 2:
-            scale = lr * (clip_norm / np.sqrt(sq))
-        for i, d in enumerate(deltas):
-            d = d * scale
-            self.weights[i] += d[:, None] * activations[i][None, :]
-            self.biases[i] += d
-
     def snapshot(self):
         """Flat JSON-friendly record: dims, activations and row-major params."""
         return {
@@ -210,10 +182,10 @@ class FeedForwardNet:
 
 
 def softmax(logits):
+    """Softmax over the last axis."""
     logits = np.asarray(logits, dtype=np.float64)
-    z = logits - np.max(logits)
-    e = np.exp(z)
-    return e / np.sum(e)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def masked_probs(probs, mask):
@@ -268,6 +240,123 @@ class TransitionRecord:
     mask: np.ndarray | None = None
 
 
+class _PendingSteps:
+    """Clipped ascent steps on one net, held back as low-rank factors.
+
+    After k steps, layer i's current weights are W_i + U_i[:k]^T V_i[:k]
+    and its biases b_i + U_i[:k]^T 1, where W_i, b_i are the net's stored
+    parameters, each U row is a scaled backprop delta and each V row the
+    layer input it multiplied. `forward` and `step` read the current
+    weights through these corrections; `write` adds them to the stored
+    parameters, once per layer.
+
+    Layer 0's inputs are the transitions' observations, known up front:
+    each transition owns `width` consecutive rows, t.obs and (width 2)
+    t.next_obs. Their pre-activations come from one GEMM with the stored
+    weights, and their corrections from the rows' Gram matrix, so layer
+    0's matrix is not read per step.
+    """
+
+    def __init__(self, net, transitions, width):
+        self.net = net
+        self.width = width
+        self._first = {id(t): width * n for n, t in enumerate(transitions)}
+        self._x = np.array([x for t in transitions
+                            for x in (t.obs, t.next_obs)[:width]],
+                           dtype=np.float64)
+        if self._x.ndim != 2 or self._x.shape[1] != net.input_dim:
+            raise ValueError(
+                f"inputs of shape {self._x.shape[1:]} do not match input "
+                f"dim {net.input_dim}")
+        self._z0 = self._x @ net.weights[0].T
+        self._z0 += net.biases[0]
+        self._gram1 = self._x @ self._x.T
+        self._gram1 += 1.0       # the bias input
+        max_steps = len(transitions)
+        self._u = [np.empty((max_steps, w.shape[0])) for w in net.weights]
+        self._v = [None] + [np.empty((max_steps, w.shape[1]))
+                            for w in net.weights[1:]]
+        # step m's layer-0 input is row _rows0[m]; _g[m] is its _gram1 row
+        self._rows0 = np.empty(max_steps, dtype=np.intp)
+        self._g = np.empty((max_steps, len(self._x)))
+        self.k = 0
+
+    def forward(self, t):
+        """Outputs of t's rows under the current weights, one row each, and
+        a cache from which `step` backpropagates t.obs."""
+        net = self.net
+        j = self._first[id(t)]
+        rows = slice(j, j + self.width)
+        k = self.k
+        z = self._z0[rows]
+        if k:
+            z = z + self._g[:k, rows].T @ self._u[0][:k]
+        activations = [None]     # layer 0's inputs are rows of self._x
+        pre_acts = [z]
+        for i in range(1, len(net.weights)):
+            h = net._act(z)
+            activations.append(h)
+            z = h @ net.weights[i].T
+            z += net.biases[i]
+            if k:
+                c = h @ self._v[i][:k].T
+                c += 1.0
+                z += c @ self._u[i][:k]
+            pre_acts.append(z)
+        out = softmax(z) if net.output_activation == "softmax" else z
+        return out, (j, activations, pre_acts)
+
+    def step(self, cache, grad_logits, lr, clip_norm=None):
+        """Queue the clipped ascent step lr * grad_logits backpropagated.
+
+        The global norm of the step's weight gradients uses
+        ||outer(d, a)||_F = ||d||*||a||. Raises NumericsError on a
+        non-finite gradient; nothing has been written at that point.
+        """
+        net = self.net
+        j, activations, pre_acts = cache
+        k = self.k
+        deltas = [None] * len(net.weights)
+        delta = np.asarray(grad_logits, dtype=np.float64)
+        sq = 0.0
+        for i in range(len(net.weights) - 1, 0, -1):
+            a = activations[i][0]
+            sq += (delta @ delta) * (1.0 + a @ a)
+            deltas[i] = delta
+            back = net.weights[i].T @ delta
+            if k:
+                back += (self._u[i][:k] @ delta) @ self._v[i][:k]
+            back *= net._act_grad(pre_acts[i - 1][0], a)
+            delta = back
+        sq += (delta @ delta) * self._gram1[j, j]
+        deltas[0] = delta
+        if not math.isfinite(sq):
+            raise NumericsError("non-finite gradient; aborting run")
+        scale = lr
+        if clip_norm is not None and clip_norm > 0.0 and sq > clip_norm ** 2:
+            scale = lr * (clip_norm / math.sqrt(sq))
+        for i, d in enumerate(deltas):
+            np.multiply(d, scale, out=self._u[i][k])
+            if i:
+                self._v[i][k] = activations[i][0]
+        self._rows0[k] = j
+        self._g[k] = self._gram1[j]
+        self.k = k + 1
+
+    def write(self):
+        """Add the pending steps to the net's parameters: one write per layer."""
+        k = self.k
+        if not k:
+            return
+        for i, (w, b) in enumerate(zip(self.net.weights, self.net.biases)):
+            u = self._u[i][:k]
+            v = self._x[self._rows0[:k]] if i == 0 else self._v[i][:k]
+            # matmul keeps an inner dimension of 1 off BLAS; np.dot does not
+            w += np.dot(u.T, v) if k == 1 else u.T @ v
+            b += u.sum(axis=0)
+        self.k = 0
+
+
 @dataclass
 class A2cAgent:
     """Actor + critic pair with one-step TD learning.
@@ -284,6 +373,9 @@ class A2cAgent:
     clip_norm: float | None = 10.0
     rng_seed: int = 0
     update_count: int = field(default=0, repr=False)
+    # (critic, actor) pending steps while a `learn` call is open
+    _pending: tuple | None = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def __post_init__(self):
         if not (0.0 <= self.gamma < 1.0):
@@ -333,18 +425,22 @@ class A2cAgent:
 
         The bootstrap target R + gamma*V(next) is held constant, so the
         step is lr * delta * grad V(O_t). Returns delta computed before
-        the parameters move.
+        the parameters move. Inside `learn` the step stays pending;
+        called on its own it is applied at once.
         """
-        v_next = 0.0 if t.terminal else self.critic_value(t.next_obs)
-        out, cache = self.critic.forward(t.obs)
-        delta = t.reward + self.gamma * v_next - float(out[0])
+        steps = (self._pending[0] if self._pending
+                 else _PendingSteps(self.critic, [t], 2))
+        out, cache = steps.forward(t)
+        v_next = 0.0 if t.terminal else float(out[1, 0])
+        delta = t.reward + self.gamma * v_next - float(out[0, 0])
         if delta == 0.0:
             return 0.0
         # the gradient delta * grad V already carries the TD-error factor;
         # the step size is just the lr
-        self.critic.step_from_logits(cache, np.array([delta]), self.lr_critic,
-                                     self.clip_norm)
+        steps.step(cache, np.array([delta]), self.lr_critic, self.clip_norm)
         self.update_count += 1
+        if self._pending is None:
+            steps.write()
         return delta
 
     def update_actor(self, t: TransitionRecord, delta):
@@ -352,25 +448,50 @@ class A2cAgent:
 
         For a (possibly masked) softmax policy the logit gradient of
         log pi(a) is onehot(a) - pi, with masked-out entries at zero.
+        Inside `learn` the step stays pending; called on its own it is
+        applied at once.
         """
         if delta == 0.0:
             return
-        probs, cache = self.actor.forward(t.obs)
-        if t.mask is not None:
-            probs = masked_probs(probs, t.mask)
         if not (0 <= t.action_index < self.n_actions):
             raise ValueError(f"action index {t.action_index} out of range")
+        steps = (self._pending[1] if self._pending
+                 else _PendingSteps(self.actor, [t], 1))
+        out, cache = steps.forward(t)
+        probs = out[0]
+        if t.mask is not None:
+            probs = masked_probs(probs, t.mask)
         grad_logits = probs * (-delta)
         grad_logits[t.action_index] += delta
-        self.actor.step_from_logits(cache, grad_logits, self.lr_actor,
-                                    self.clip_norm)
+        steps.step(cache, grad_logits, self.lr_actor, self.clip_norm)
         self.update_count += 1
+        if self._pending is None:
+            steps.write()
 
-    def learn(self, t: TransitionRecord):
-        """Critic step then actor step on one transition; returns delta."""
-        delta = self.update_critic(t)
-        self.update_actor(t, delta)
-        return delta
+    def learn(self, transitions):
+        """One-step TD over `transitions` in order; returns the TD errors.
+
+        Takes the same steps as update_critic then update_actor on each
+        transition in turn, but every step is held as low-rank factors
+        and each layer of each net is written once, at the end. A
+        NumericsError leaves the parameters untouched.
+        """
+        transitions = list(transitions)
+        if not transitions:
+            return []
+        self._pending = (_PendingSteps(self.critic, transitions, 2),
+                         _PendingSteps(self.actor, transitions, 1))
+        try:
+            deltas = []
+            for t in transitions:
+                delta = self.update_critic(t)
+                self.update_actor(t, delta)
+                deltas.append(delta)
+        finally:
+            pending, self._pending = self._pending, None
+        for steps in pending:
+            steps.write()
+        return deltas
 
     def snapshot(self):
         return {

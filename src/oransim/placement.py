@@ -180,8 +180,7 @@ class PlacementController:
                         self._samples[du], self.locations[du],
                         self.cfg.tau, self.cfg.lam)
                     pending.next_obs = obs
-                    delta = self.agent.update_critic(pending)
-                    self.agent.update_actor(pending, delta)
+                    self.agent.learn([pending])
                 probs = self.agent.action_distribution(obs)
                 action = select_action(probs, self.cfg.resolve_mode(), self.rng)
                 applied = action

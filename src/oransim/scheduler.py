@@ -135,7 +135,8 @@ def schedule_tti(agent: A2cAgent, ctx: CellTti, cfg: SchedulerConfig, rng):
 
     Decisions bootstrap within the TTI: each transition's next state is
     the following offered RBG's observation and the last one is terminal.
-    Updates run after the decision loop, in decision order, critic first.
+    Training runs after the decision loop: one `learn` call takes the
+    steps in decision order, critic first, and writes each layer once.
     """
     n_rbg = ctx.cell.n_rbg
     allocation = np.full(n_rbg, UNASSIGNED, dtype=int)
@@ -186,9 +187,7 @@ def schedule_tti(agent: A2cAgent, ctx: CellTti, cfg: SchedulerConfig, rng):
         transitions[-1].terminal = True
 
     if cfg.training:
-        for tr in transitions:
-            delta = agent.update_critic(tr)
-            agent.update_actor(tr, delta)
+        agent.learn(transitions)
 
     return TtiSchedule(allocation=allocation, granted_bits=granted,
                        transitions=transitions, rewards=rewards)

@@ -78,7 +78,12 @@ class Packet:
 
 
 class RlcQueue:
-    """FIFO of packets for one UE, with HoL aging against a delay budget."""
+    """FIFO of packets for one UE, with HoL aging against a delay budget.
+
+    Arrival TTIs never decrease along the queue (`push` enforces it), so
+    packet ages never increase from head to tail and the expired packets
+    are always a head prefix. The queued totals are running counters.
+    """
 
     def __init__(self, flow: FlowSpec, tti_ms=1.0):
         self.flow = flow
@@ -86,6 +91,8 @@ class RlcQueue:
         self._packets: deque[Packet] = deque()
         self.arrived_packets = 0
         self.arrived_bits = 0
+        self._queued_bits = 0
+        self._queued_remaining_bits = 0
 
     def __len__(self):
         return len(self._packets)
@@ -95,11 +102,11 @@ class RlcQueue:
 
     @property
     def queued_bits(self):
-        return sum(p.size_bits for p in self._packets)
+        return self._queued_bits
 
     @property
     def queued_remaining_bits(self):
-        return sum(p.remaining_bits for p in self._packets)
+        return self._queued_remaining_bits
 
     def head(self):
         return self._packets[0] if self._packets else None
@@ -111,9 +118,15 @@ class RlcQueue:
         return self._packets[0].age_ms(now_tti, self.tti_ms) + extra_ms
 
     def push(self, packet: Packet):
+        if self._packets and packet.arrival_tti < self._packets[-1].arrival_tti:
+            raise ValueError(
+                f"packet from TTI {packet.arrival_tti} behind the tail's "
+                f"TTI {self._packets[-1].arrival_tti}")
         self._packets.append(packet)
         self.arrived_packets += 1
         self.arrived_bits += packet.size_bits
+        self._queued_bits += packet.size_bits
+        self._queued_remaining_bits += packet.remaining_bits
 
     def generate_arrivals(self, now_tti, rng, rate_scale=1.0):
         """Poisson packet arrivals for this TTI at the flow's mean bit rate."""
@@ -132,17 +145,18 @@ class RlcQueue:
         """Remove packets strictly older than the budget; keeps FIFO order.
 
         `extra_ms` is the placement-dependent processing delay added to
-        every packet's effective age.
+        every packet's effective age. The expired packets are a head
+        prefix, so this pops from the head until a packet is in budget.
         """
         budget = self.flow.delay_budget_ms
-        kept = deque()
+        packets = self._packets
         dropped = []
-        for p in self._packets:
-            if p.age_ms(now_tti, self.tti_ms) + extra_ms > budget:
-                dropped.append(p)
-            else:
-                kept.append(p)
-        self._packets = kept
+        while packets and (packets[0].age_ms(now_tti, self.tti_ms) + extra_ms
+                           > budget):
+            p = packets.popleft()
+            self._queued_bits -= p.size_bits
+            self._queued_remaining_bits -= p.remaining_bits
+            dropped.append(p)
         return dropped
 
     def serve(self, budget_bits, now_tti, extra_ms=0.0):
@@ -163,10 +177,12 @@ class RlcQueue:
             head = self._packets[0]
             take = min(head.remaining_bits, budget)
             head.remaining_bits -= take
+            self._queued_remaining_bits -= take
             budget -= take
             consumed += take
             if head.remaining_bits == 0:
                 self._packets.popleft()
+                self._queued_bits -= head.size_bits
                 age = head.age_ms(now_tti, self.tti_ms) + extra_ms
                 if age <= self.flow.delay_budget_ms:
                     delivered.append(head)

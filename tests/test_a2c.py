@@ -84,6 +84,59 @@ def max_rel_error(a, b, floor=1e-6):
     return float(np.max(np.abs(a - b) / scale))
 
 
+def reference_step(net, cache, grad_logits, lr, clip_norm):
+    """Fused backprop plus clipped ascent, written into the net at once.
+
+    The per-transition update `A2cAgent.learn` defers: one rank-1 write
+    per layer per step, norms from ||outer(d, a)||_F = ||d||*||a||.
+    Returns whether the clip fired.
+    """
+    activations, pre_acts, _, _ = cache
+    deltas = [None] * len(net.weights)
+    delta = np.asarray(grad_logits, dtype=np.float64)
+    sq = 0.0
+    for i in range(len(net.weights) - 1, -1, -1):
+        a = activations[i]
+        sq += (delta @ delta) * (1.0 + a @ a)
+        deltas[i] = delta
+        if i > 0:
+            delta = net.weights[i].T @ delta
+            delta *= net._act_grad(pre_acts[i - 1], activations[i])
+    assert np.isfinite(sq)
+    clipped = clip_norm is not None and sq > clip_norm ** 2
+    scale = lr * (clip_norm / np.sqrt(sq)) if clipped else lr
+    for i, d in enumerate(deltas):
+        d = d * scale
+        net.weights[i] += d[:, None] * activations[i][None, :]
+        net.biases[i] += d
+    return clipped
+
+
+def sequential_learn(agent, transitions):
+    """Reference one-step TD: critic then actor step per transition, each
+    on the weights the previous step wrote. Returns (deltas, clip hits)."""
+    deltas = []
+    clips = 0
+    for t in transitions:
+        v_next = 0.0 if t.terminal else agent.critic_value(t.next_obs)
+        out, cache = agent.critic.forward(t.obs)
+        delta = t.reward + agent.gamma * v_next - float(out[0])
+        deltas.append(delta)
+        if delta == 0.0:
+            continue
+        clips += reference_step(agent.critic, cache, np.array([delta]),
+                                agent.lr_critic, agent.clip_norm)
+        probs, cache = agent.actor.forward(t.obs)
+        if t.mask is not None:
+            probs = masked_probs(probs, t.mask)
+        grad_logits = probs * (-delta)
+        grad_logits[t.action_index] += delta
+        clips += reference_step(agent.actor, cache, grad_logits,
+                                agent.lr_actor, agent.clip_norm)
+        agent.update_count += 2
+    return deltas, clips
+
+
 # ------------------------------------------------------------ forward pass
 
 def test_zero_net_gives_uniform_policy():
@@ -386,6 +439,133 @@ def test_softmax_head_backward_matches_finite_differences():
     assert max_rel_error(analytic, numeric) < 1e-4
 
 
+# ------------------------------------------------------- deferred learning
+
+def random_transitions(agent, k, masked, seed, obs_dim, n_actions):
+    """A TTI-shaped chain: each next_obs is the following obs, the last
+    transition terminal; one reward large enough to trip the clip, and
+    for k >= 2 a leading zero-observation transition whose reward equals
+    V(0), so its TD error is exactly zero."""
+    rng = np.random.default_rng(seed)
+    obs = [rng.uniform(0, 1, size=obs_dim) for _ in range(k)]
+    out = []
+    for i in range(k):
+        mask = None
+        if masked:
+            mask = rng.random(n_actions) < 0.6
+            mask[rng.integers(n_actions)] = True
+            action = int(rng.choice(np.flatnonzero(mask)))
+        else:
+            action = int(rng.integers(n_actions))
+        nxt = obs[i + 1] if i + 1 < k else obs[i]
+        out.append(TransitionRecord(obs[i], action, float(rng.integers(0, 4)),
+                                    nxt, terminal=i + 1 == k, mask=mask))
+    out[-1].reward = 40.0
+    if k >= 2:
+        zero = np.zeros(obs_dim)
+        out[0] = TransitionRecord(zero, 0, agent.critic_value(zero), obs[1],
+                                  terminal=True)
+    return out
+
+
+def params_of(agent):
+    nets = (agent.actor, agent.critic)
+    return [p for net in nets for p in net.weights + net.biases]
+
+
+def assert_params_close(got, want, rel=1e-12):
+    for g, w in zip(params_of(got), params_of(want)):
+        assert np.max(np.abs(g - w)) <= rel * max(np.max(np.abs(w)), 1e-300)
+
+
+@pytest.mark.parametrize("actor_hidden, critic_hidden", [(0, 0), (900, 100)])
+@pytest.mark.parametrize("masked", [False, True])
+def test_learn_matches_sequential_updates(actor_hidden, critic_hidden, masked):
+    obs_dim, n_actions = 50, 10
+    for k in range(1, 9):
+        agent = make_agent(seed=k, obs_dim=obs_dim, n_actions=n_actions,
+                           actor_hidden=actor_hidden,
+                           critic_hidden=critic_hidden)
+        reference = A2cAgent.from_snapshot(agent.snapshot())
+        ts = random_transitions(agent, k, masked, k, obs_dim, n_actions)
+        want_deltas, clips = sequential_learn(reference, ts)
+        got_deltas = agent.learn(ts)
+        assert clips > 0
+        if k >= 2:
+            assert got_deltas[0] == 0.0 == want_deltas[0]
+        assert got_deltas == pytest.approx(want_deltas, rel=1e-12, abs=1e-12)
+        assert agent.update_count == reference.update_count
+        assert_params_close(agent, reference)
+
+
+def test_learn_changes_parameters_by_lr_delta_gradient():
+    worst = 0.0
+    clip_hits = 0
+    rng = np.random.default_rng(2025)
+    for seed, reward, masked in ((11, 1.0, False), (12, 0.5, True),
+                                 (13, 60.0, False)):
+        agent = make_agent(seed=seed, obs_dim=6, n_actions=4, actor_hidden=10,
+                           critic_hidden=8)
+        obs = rng.uniform(-1, 1, size=6)
+        nxt = rng.uniform(-1, 1, size=6)
+        mask = np.array([True, False, True, True]) if masked else None
+        t = TransitionRecord(obs, 2, reward, nxt, mask=mask)
+        delta = agent.td_error(t)
+
+        def log_prob(net, x):
+            out, _ = net.forward(x)
+            p = out if mask is None else masked_probs(out, mask)
+            return math.log(p[t.action_index])
+
+        def value(net, x):
+            out, _ = net.forward(x)
+            return float(out[0])
+
+        expected = []
+        for net, fn, lr in ((agent.actor, log_prob, agent.lr_actor),
+                            (agent.critic, value, agent.lr_critic)):
+            g = delta * fd_gradient(net, obs, fn, step=1e-5)
+            norm = np.linalg.norm(g)
+            if norm > agent.clip_norm:
+                g *= agent.clip_norm / norm
+                clip_hits += 1
+            expected.append(lr * g)
+        reference = A2cAgent.from_snapshot(agent.snapshot())
+        sequential_learn(reference, [t])
+        before = [pack_params(agent.actor), pack_params(agent.critic)]
+        assert agent.learn([t]) == [pytest.approx(delta, rel=1e-12)]
+        applied = [pack_params(agent.actor) - before[0],
+                   pack_params(agent.critic) - before[1]]
+        for got, want in zip(applied, expected):
+            worst = max(worst, max_rel_error(got, want))
+        assert agent.update_count == reference.update_count == 2
+        assert_params_close(agent, reference)
+    assert clip_hits >= 2   # the large-reward transition clips both nets
+    assert worst < 1e-4
+
+
+def test_learn_numerics_error_writes_nothing():
+    agent = make_agent(seed=6)
+    agent.actor.weights[-1][0, 0] = np.nan
+    before = [p.copy() for p in params_of(agent)]
+    rng = np.random.default_rng(6)
+    obs = [rng.uniform(0, 1, size=4) for _ in range(3)]
+    ts = [TransitionRecord(o, 1, 1.0, o) for o in obs]
+    with pytest.raises(NumericsError):
+        agent.learn(ts)
+    for p, old in zip(params_of(agent), before):
+        assert p.tobytes() == old.tobytes()
+    assert agent._pending is None
+
+
+def test_learn_on_no_transitions_is_a_noop():
+    agent = make_agent(seed=8)
+    before = [p.copy() for p in params_of(agent)]
+    assert agent.learn([]) == []
+    for p, old in zip(params_of(agent), before):
+        assert p.tobytes() == old.tobytes()
+
+
 # ------------------------------------------------------- numerics and state
 
 def test_non_finite_gradient_aborts():
@@ -413,7 +593,7 @@ def test_identical_seeds_and_streams_give_bitwise_identical_params():
             action = int(rng.integers(0, 3))
             reward = float(rng.uniform(0, 3))
             t = TransitionRecord(obs, action, reward, nxt)
-            agent.learn(t)
+            agent.learn([t])
         return agent
 
     a = train(77)

@@ -203,3 +203,57 @@ def test_no_delivered_packet_over_budget(seed):
         for p in delivered:
             assert p.age_ms(t) <= q.flow.delay_budget_ms
         q.drop_expired(t)
+
+
+# --------------------------------------------------------- running counters
+
+def test_push_rejects_packet_older_than_tail():
+    q = queue_for("ar")
+    q.push(Packet(1000, arrival_tti=5, qci=80))
+    q.push(Packet(1000, arrival_tti=5, qci=80))   # equal TTIs are fine
+    with pytest.raises(ValueError):
+        q.push(Packet(1000, arrival_tti=4, qci=80))
+    assert len(q) == 2
+    assert q.arrived_packets == 2
+    assert q.queued_bits == 2000
+
+
+queue_ops = st.lists(st.one_of(
+    st.tuples(st.just("push"), st.integers(0, 3), st.integers(1, 3000),
+              st.integers(0, 3000)),
+    st.tuples(st.just("serve"), st.integers(0, 4), st.integers(0, 5000),
+              st.sampled_from([0.0, 2.0])),
+    st.tuples(st.just("drop"), st.integers(0, 4), st.sampled_from([0.0, 2.0,
+                                                                   3.5])),
+), max_size=60)
+
+
+@settings(max_examples=150, deadline=None)
+@given(queue_ops, st.sampled_from([1.0, 0.5]))
+def test_running_counters_match_recomputed_sums(ops, tti_ms):
+    q = RlcQueue(make_flow("ar", 1.0), tti_ms)
+    now = 0
+    for op in ops:
+        if op[0] == "push":
+            _, gap, size, remaining = op
+            now += gap
+            q.push(Packet(size, arrival_tti=now, qci=80,
+                          remaining_bits=min(remaining, size)))
+        elif op[0] == "serve":
+            _, gap, bits, extra = op
+            now += gap
+            q.serve(bits, now, extra)
+        else:
+            _, gap, extra = op
+            now += gap
+            before = list(q)
+            expired = [p.age_ms(now, tti_ms) + extra > q.flow.delay_budget_ms
+                       for p in before]
+            # the same packets as filtering the whole queue, in order
+            dropped = q.drop_expired(now, extra)
+            assert [id(p) for p in dropped] == [
+                id(p) for p, x in zip(before, expired) if x]
+            assert [id(p) for p in q] == [
+                id(p) for p, x in zip(before, expired) if not x]
+        assert q.queued_bits == sum(p.size_bits for p in q)
+        assert q.queued_remaining_bits == sum(p.remaining_bits for p in q)
