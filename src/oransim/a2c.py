@@ -211,18 +211,20 @@ def select_action(dist, mode, rng=None):
     entries are never selected). greedy: argmax, lowest index on ties.
     """
     dist = np.asarray(dist, dtype=np.float64)
-    if dist.ndim != 1 or dist.size == 0 or np.any(dist < 0.0):
+    # array methods, not np.* wrappers: this runs once per RBG decision
+    if dist.ndim != 1 or dist.size == 0 or (dist < 0.0).any():
         raise ValueError("invalid distribution")
-    if abs(dist.sum() - 1.0) > 1e-6:
-        raise ValueError(f"distribution sums to {dist.sum()!r}")
+    total = dist.sum()
+    if abs(total - 1.0) > 1e-6:
+        raise ValueError(f"distribution sums to {total!r}")
     if mode == "greedy":
-        return int(np.argmax(dist))
+        return int(dist.argmax())
     if mode != "sample":
         raise ValueError(f"unknown selection mode {mode!r}")
     if rng is None:
         raise ValueError("sample mode needs an rng")
-    cdf = np.cumsum(dist)
-    idx = int(np.searchsorted(cdf, rng.random(), side="right"))
+    cdf = dist.cumsum()
+    idx = int(cdf.searchsorted(rng.random(), side="right"))
     if idx >= dist.size or dist[idx] == 0.0:
         # float shortfall at the top of the CDF: take the last valid entry
         idx = int(np.max(np.nonzero(dist)[0]))

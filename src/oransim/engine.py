@@ -10,6 +10,7 @@ comparable with a pinned dynamic run.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,14 +144,6 @@ class Simulation:
 
     # ------------------------------------------------------------- helpers
 
-    def cell_ues(self, cell_id):
-        return [ue for ue in self.ues if ue.serving_cell_id == cell_id]
-
-    def du_queues(self):
-        return {cell.du_id: [self.queues[ue.ue_id]
-                             for ue in self.cell_ues(cell.cell_id)]
-                for cell in self.cells}
-
     def _class_of(self, ue_id):
         return class_of_qci(self.queues[ue_id].flow.qci)
 
@@ -160,9 +153,12 @@ class Simulation:
         cfg = self.cfg
         tti_s = cfg.tti_ms / 1000.0
 
-        # mobility (vehicles only; fixed UEs have zero speed)
+        # mobility (vehicles only; fixed UEs have zero speed); serving
+        # cells change only here, so the UEs are grouped by cell once
+        cell_ues = {cell.cell_id: [] for cell in self.cells}
         for ue in self.ues:
             step_mobility(ue, tti_s, self.bounds, self.cells, self.rng_mobility)
+            cell_ues[ue.serving_cell_id].append(ue)
 
         # arrivals, in UE id order
         for ue in self.ues:
@@ -175,7 +171,10 @@ class Simulation:
 
         # placement epoch
         if self.placement.is_epoch_boundary(t):
-            events = self.placement.decide_epoch(t, self.du_queues())
+            events = self.placement.decide_epoch(t, {
+                cell.du_id: [self.queues[ue.ue_id]
+                             for ue in cell_ues[cell.cell_id]]
+                for cell in self.cells})
             self.ledger.record_placements(events)
 
         # channel state from last TTI's allocations
@@ -196,7 +195,7 @@ class Simulation:
         for cell in self.cells:
             du = cell.du_id
             ctx = CellTti(
-                cell=cell, ues=self.cell_ues(cell.cell_id),
+                cell=cell, ues=cell_ues[cell.cell_id],
                 queues=self.queues, now=t, tti_ms=cfg.tti_ms,
                 age_offset_ms=self.placement.age_offset_ms(du),
                 blocked_rbgs=set(cu_taken) if du in cu_group else set())
@@ -297,12 +296,101 @@ class BatchResult:
         return (self.config.ttis // 2, self.config.ttis)
 
 
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_lane(cfg, run_indices, conn):
+    """Child lane: one status per run (None, or the run's error, which ends
+    the lane), then all of the lane's ledgers in one message.
+
+    A ledger can outgrow the pipe buffer, so the ledgers are sent only when
+    no run is left for a blocked send to hold up; a status is small.
+    """
+    ledgers = []
+    for i in run_indices:
+        try:
+            ledgers.append(Simulation(cfg, run_index=i).run())
+        except Exception as e:   # raised again in the parent
+            conn.send(e)
+            return
+        conn.send(None)
+    conn.send(ledgers)
+
+
+def _receive(proc, conn):
+    try:
+        return conn.recv()
+    except EOFError:
+        proc.join()
+        raise RuntimeError(f"batch lane process {proc.pid} exited with code "
+                           f"{proc.exitcode} before reporting") from None
+
+
+def _run_ledgers(cfg: SimConfig):
+    """Every run's ledger, in run order.
+
+    Runs are spread over lanes = min(runs, usable CPUs): run i goes to lane
+    i mod lanes, this process runs lane 0 and each other lane is a forked
+    child. A run computes the same ledger in any process, and the first
+    failing run's error is raised, as in a serial loop. No child outlives
+    the call.
+    """
+    lanes = min(cfg.runs, _usable_cpus())
+    if lanes > 1:
+        # imported here so that a one-lane batch costs no memory for it
+        import multiprocessing
+        if "fork" not in multiprocessing.get_all_start_methods():
+            lanes = 1
+    if lanes < 2:
+        return [Simulation(cfg, run_index=i).run() for i in range(cfg.runs)]
+    # fork: a child starts from this process's state and no server process
+    # outlives the call
+    ctx = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for lane in range(1, lanes):
+            conn, child_conn = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_run_lane, args=(
+                cfg, range(lane, cfg.runs, lanes), child_conn))
+            proc.start()
+            child_conn.close()   # EOF on conn once the child is gone
+            children.append((lane, proc, conn))
+        ledgers = [None] * cfg.runs
+        failed, error = cfg.runs, None
+        for i in range(0, cfg.runs, lanes):
+            try:
+                ledgers[i] = Simulation(cfg, run_index=i).run()
+            except Exception as e:   # raised below, unless an earlier run failed
+                failed, error = i, e
+                break
+        # an earlier run of another lane may have failed as well
+        for lane, proc, conn in children:
+            for i in range(lane, failed, lanes):
+                lane_error = _receive(proc, conn)
+                if lane_error is not None:
+                    failed, error = i, lane_error
+                    break
+        if error is not None:
+            raise error
+        for lane, proc, conn in children:
+            ledgers[lane::lanes] = _receive(proc, conn)
+            proc.join()
+        return ledgers
+    finally:
+        for _, proc, conn in children:
+            proc.terminate()   # no-op once joined
+            proc.join()
+            conn.close()
+
+
 def run_batch(cfg: SimConfig, allow_out_of_envelope=False) -> BatchResult:
     """Execute cfg.runs independent simulations with derived seeds seed+i."""
     validate_config(cfg, allow_out_of_envelope)
-    ledgers = []
-    for i in range(cfg.runs):
-        ledgers.append(Simulation(cfg, run_index=i).run())
+    ledgers = _run_ledgers(cfg)
     rows = [ledger_rows(led, cfg.mode) for led in ledgers]
     return BatchResult(config=cfg, ledgers=ledgers, rows_per_run=rows,
                        aggregate=aggregate_rows(rows))

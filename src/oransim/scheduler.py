@@ -140,6 +140,10 @@ def schedule_tti(agent: A2cAgent, ctx: CellTti, cfg: SchedulerConfig, rng):
     """
     n_rbg = ctx.cell.n_rbg
     allocation = np.full(n_rbg, UNASSIGNED, dtype=int)
+    if ctx.blocked_rbgs.issuperset(range(n_rbg)):
+        # a coordinated peer took every RBG: no decision, nothing to learn
+        return TtiSchedule(allocation=allocation, granted_bits={},
+                           transitions=[], rewards=[])
     slot_ues = select_slot_ues(ctx, cfg)
     uncovered = {ue.ue_id: ctx.queues[ue.ue_id].queued_remaining_bits
                  for ue in slot_ues if ue is not None}

@@ -1,8 +1,17 @@
+import contextlib
+import multiprocessing
+import os
+import signal
+
 import numpy as np
 import pytest
 
+from oransim import engine
+from oransim.a2c import NumericsError
+from oransim.cli import main as cli_main
 from oransim.config import SimConfig
 from oransim.engine import (
+    AuditError,
     Simulation,
     assign_traffic_classes,
     named_stream,
@@ -96,18 +105,116 @@ def test_audit_holds_across_modes_and_scenarios():
             run_batch(cfg)  # cfg.audit defaults true; raises AuditError on breach
 
 
-def test_runs_are_order_independent():
-    cfg = desk_config(runs=3, ttis=100)
+@pytest.fixture
+def two_lanes(monkeypatch):
+    """Two usable CPUs, so that a batch of several runs forks a child lane."""
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail instead of hanging when the body takes longer than `seconds`."""
+    def expire(signum, frame):
+        for proc in multiprocessing.active_children():
+            proc.kill()   # so that a stuck child cannot hold up exit either
+        pytest.fail(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def patch_runs(monkeypatch, outcomes):
+    """Run index i of a batch returns outcomes[i](simulate), where
+    simulate() runs it as usual. Forked lanes inherit the patch."""
+    real_run = Simulation.run
+
+    def run(self):
+        i = self.run_seed - self.cfg.seed
+        if i in outcomes:
+            return outcomes[i](lambda: real_run(self))
+        return real_run(self)
+    monkeypatch.setattr(Simulation, "run", run)
+
+
+def fails(exc):
+    def outcome(_):
+        raise exc
+    return outcome
+
+
+def padded(simulate):
+    led = simulate()
+    led.padding = bytes(4 << 20)   # far beyond a pipe buffer
+    return led
+
+
+@pytest.mark.parametrize("runs", [3, 5])
+def test_runs_are_order_independent(runs, two_lanes):
+    cfg = desk_config(runs=runs, ttis=100)
     batch = run_batch(cfg)
+    assert multiprocessing.active_children() == []
     # re-execute each run standalone, in reverse order
     solo = []
-    for i in reversed(range(3)):
+    for i in reversed(range(runs)):
         solo.append(Simulation(cfg, run_index=i).run())
     solo.reverse()
+    assert len(batch.ledgers) == runs
     for a, b in zip(batch.ledgers, solo):
         assert a == b
     rows = [ledger_rows(led, cfg.mode) for led in solo]
     assert aggregate_rows(rows) == batch.aggregate
+
+
+# with two lanes and three runs, runs 0 and 2 execute here, run 1 in a child
+@pytest.mark.parametrize("failing", [{1}, {2}, {1, 2}, {0, 1}])
+def test_first_failing_run_raises_whichever_lane_ran_it(
+        failing, two_lanes, monkeypatch):
+    patch_runs(monkeypatch, {i: fails(AuditError(f"run {i}")) for i in failing})
+    with deadline(60), pytest.raises(AuditError, match=f"run {min(failing)}$"):
+        run_batch(desk_config(runs=3, ttis=20))
+    assert multiprocessing.active_children() == []
+
+
+def test_child_lane_killed_by_signal_raises(two_lanes, monkeypatch):
+    def killed(_):
+        os.kill(os.getpid(), signal.SIGKILL)
+    patch_runs(monkeypatch, {1: killed})
+    with deadline(60), pytest.raises(RuntimeError, match="code -9"):
+        run_batch(desk_config(runs=3, ttis=20))
+    assert multiprocessing.active_children() == []
+
+
+def test_child_blocked_on_a_large_payload_does_not_hang(two_lanes, monkeypatch):
+    # the child reports run 1 and then blocks sending its ledgers, which
+    # the parent never reads once its own run 2 has failed
+    patch_runs(monkeypatch, {1: padded, 2: fails(AuditError("run 2"))})
+    with deadline(60), pytest.raises(AuditError, match="run 2$"):
+        run_batch(desk_config(runs=3, ttis=20))
+    assert multiprocessing.active_children() == []
+
+
+def test_large_child_payload_arrives(two_lanes, monkeypatch):
+    patch_runs(monkeypatch, {1: padded})
+    with deadline(60):
+        batch = run_batch(desk_config(runs=3, ttis=20))
+    assert len(batch.ledgers[1].padding) == 4 << 20
+    assert multiprocessing.active_children() == []
+
+
+def test_numerics_error_in_child_lane_exits_3(
+        two_lanes, monkeypatch, tmp_path, capsys):
+    patch_runs(monkeypatch, {1: fails(NumericsError("lane blow-up"))})
+    conf = tmp_path / "lanes.conf"
+    conf.write_text("sim.n_cells = 1\nsim.n_ues = 3\nsim.n_rbg = 2\n"
+                    "sim.ttis = 20\nsim.runs = 2\nsched.slot_count = 3\n")
+    code = cli_main(["run", "--config", str(conf), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "lane blow-up" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
 
 
 # ------------------------------------------------------------ metric maths

@@ -197,6 +197,23 @@ def test_blocked_rbgs_stay_unassigned():
     assert out.allocation[1] == 0 and out.allocation[3] == 0
 
 
+def test_fully_blocked_cell_decides_and_learns_nothing():
+    cfg = SchedulerConfig(slot_count=2)
+    agent = make_agent(cfg, seed=4)
+    rng = np.random.default_rng(1)
+    ue = make_ue(0, 15, n_rbg=3)
+    q = RlcQueue(make_flow("ar", 1.0))
+    for _ in range(10):
+        q.push(Packet(1000, arrival_tti=0, qci=q.flow.qci))
+    params, rng_state = agent.snapshot(), rng.bit_generator.state
+    out = schedule_tti(agent, make_ctx([ue], {0: q}, n_rbg=3, blocked=(0, 1, 2)),
+                       cfg, rng)
+    assert np.all(out.allocation == UNASSIGNED)
+    assert out.transitions == [] and out.rewards == [] and out.granted_bits == {}
+    assert agent.snapshot() == params and agent.update_count == 0
+    assert rng.bit_generator.state == rng_state
+
+
 def test_empty_queue_ue_never_assigned():
     cfg = SchedulerConfig(slot_count=4)
     agent = make_agent(cfg, seed=5)
