@@ -304,8 +304,9 @@ def _usable_cpus():
 
 
 def _run_lane(cfg, run_indices, conn):
-    """Child lane: one status per run (None, or the run's error, which ends
-    the lane), then all of the lane's ledgers in one message.
+    """Child lane: one status per run (None, or the run's error and its
+    formatted traceback, which end the lane), then all of the lane's
+    ledgers in one message.
 
     A ledger can outgrow the pipe buffer, so the ledgers are sent only when
     no run is left for a blocked send to hold up; a status is small.
@@ -315,7 +316,8 @@ def _run_lane(cfg, run_indices, conn):
         try:
             ledgers.append(Simulation(cfg, run_index=i).run())
         except Exception as e:   # raised again in the parent
-            conn.send(e)
+            import traceback   # only a failing child needs it
+            conn.send((e, traceback.format_exc()))
             return
         conn.send(None)
     conn.send(ledgers)
@@ -343,13 +345,12 @@ def _run_ledgers(cfg: SimConfig):
     if lanes > 1:
         # imported here so that a one-lane batch costs no memory for it
         import multiprocessing
-        if "fork" not in multiprocessing.get_all_start_methods():
+        if "fork" in multiprocessing.get_all_start_methods():
+            # fork: a child starts from this process's state and no server
+            # process outlives the call
+            ctx = multiprocessing.get_context("fork")
+        else:
             lanes = 1
-    if lanes < 2:
-        return [Simulation(cfg, run_index=i).run() for i in range(cfg.runs)]
-    # fork: a child starts from this process's state and no server process
-    # outlives the call
-    ctx = multiprocessing.get_context("fork")
     children = []
     try:
         for lane in range(1, lanes):
@@ -370,9 +371,13 @@ def _run_ledgers(cfg: SimConfig):
         # an earlier run of another lane may have failed as well
         for lane, proc, conn in children:
             for i in range(lane, failed, lanes):
-                lane_error = _receive(proc, conn)
-                if lane_error is not None:
-                    failed, error = i, lane_error
+                status = _receive(proc, conn)
+                if status is not None:
+                    # pickling dropped the error's traceback: chain the
+                    # child's formatted one, as multiprocessing.pool does
+                    error, remote_tb = status
+                    error.__cause__ = RuntimeError(remote_tb)
+                    failed = i
                     break
         if error is not None:
             raise error

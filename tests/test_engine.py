@@ -174,9 +174,13 @@ def test_runs_are_order_independent(runs, two_lanes):
 def test_first_failing_run_raises_whichever_lane_ran_it(
         failing, two_lanes, monkeypatch):
     patch_runs(monkeypatch, {i: fails(AuditError(f"run {i}")) for i in failing})
-    with deadline(60), pytest.raises(AuditError, match=f"run {min(failing)}$"):
+    with deadline(60), pytest.raises(
+            AuditError, match=f"run {min(failing)}$") as raised:
         run_batch(desk_config(runs=3, ttis=20))
     assert multiprocessing.active_children() == []
+    if min(failing) == 1:
+        # the child's traceback survives as the cause, down to the raiser
+        assert "in outcome" in str(raised.value.__cause__)
 
 
 def test_child_lane_killed_by_signal_raises(two_lanes, monkeypatch):
