@@ -15,26 +15,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from oransim.config import SimConfig, copy_config, parse_config_file, set_key
 from oransim.engine import run_batch
+from oransim.metrics import tail_summary
 from oransim.placement import relocation_ratio
-
-
-def tail_summary(ledgers, tail):
-    """Across-run mean of pdr / mean HoL / throughput per class."""
-    classes = ledgers[0].classes()
-    out = {}
-    for cls in classes:
-        vals = {"pdr": [], "hol": [], "thpt": []}
-        for led in ledgers:
-            p = led.pdr(cls, tail)
-            h = led.mean_hol_ms(cls, tail)
-            if p is not None:
-                vals["pdr"].append(p)
-            if h is not None:
-                vals["hol"].append(h)
-            vals["thpt"].append(led.throughput_kbps(cls, tail))
-        out[cls] = {k: (sum(v) / len(v) if v else None)
-                    for k, v in vals.items()}
-    return out
 
 
 def main():

@@ -1,9 +1,9 @@
 """Advantage actor-critic learning core.
 
-Small dense networks with hand-rolled backprop, a softmax policy head,
-a scalar value head, and the one-step TD update rules used by both the
-RBG scheduler agent and the placement agent. Everything is numpy
-float64 and deterministic for a given RNG.
+Small dense tanh networks, a softmax policy head, a scalar value head,
+and the one-step TD update rule used by both the RBG scheduler agent and
+the placement agent. Everything is numpy float64 and deterministic for a
+given RNG.
 """
 
 from __future__ import annotations
@@ -27,21 +27,17 @@ def _init_matrix(rng, fan_out, fan_in):
 class FeedForwardNet:
     """Fully connected net: tanh hidden layers, identity or softmax output.
 
-    Weights are (out, in) matrices. `forward` returns the post-activation
-    output plus a cache that `backward` consumes. Gradients are returned
-    as a list of (dW, db) pairs, one per layer, matching `weights`/`biases`.
+    Weights are (out, in) matrices. Training goes through `_PendingSteps`,
+    which backpropagates and writes the parameters.
     """
 
-    def __init__(self, layer_dims, rng=None, hidden_activation="tanh",
-                 output_activation="identity", zero_init=False):
+    def __init__(self, layer_dims, rng=None, output_activation="identity",
+                 zero_init=False):
         if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
             raise ValueError(f"bad layer_dims {layer_dims}")
-        if hidden_activation not in ("tanh", "relu", "identity"):
-            raise ValueError(f"unknown hidden activation {hidden_activation!r}")
         if output_activation not in ("identity", "softmax"):
             raise ValueError(f"unknown output activation {output_activation!r}")
         self.layer_dims = list(layer_dims)
-        self.hidden_activation = hidden_activation
         self.output_activation = output_activation
         self.weights = []
         self.biases = []
@@ -60,109 +56,26 @@ class FeedForwardNet:
     def output_dim(self):
         return self.layer_dims[-1]
 
-    def num_params(self):
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
-    def _act(self, z):
-        if self.hidden_activation == "tanh":
-            return np.tanh(z)
-        if self.hidden_activation == "relu":
-            return np.maximum(z, 0.0)
-        return z
-
-    def _act_grad(self, z, a):
-        if self.hidden_activation == "tanh":
-            return 1.0 - a * a
-        if self.hidden_activation == "relu":
-            return np.where(z > 0.0, 1.0, 0.0)
-        return np.ones_like(z)
-
     def forward(self, x):
-        """Run the net on a 1-D input; returns (output, cache)."""
+        """Run the net on a 1-D input; returns the output."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.input_dim,):
             raise ValueError(
                 f"input shape {x.shape} does not match input dim {self.input_dim}")
-        activations = [x]    # post-activation per layer, [0] is the input
-        pre_acts = []
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = w @ h
             z += b
-            pre_acts.append(z)
-            h = z if i == last else self._act(z)
-            activations.append(h)
-        logits = h
+            h = z if i == last else np.tanh(z)
         if self.output_activation == "softmax":
-            out = softmax(logits)
-        else:
-            out = logits
-        cache = (activations, pre_acts, logits, out)
-        return out, cache
-
-    def backward(self, cache, grad_output):
-        """Parameter gradients of dot(output, grad_output).
-
-        `grad_output` is taken w.r.t. the post-activation output; for a
-        softmax head the softmax Jacobian is applied here.
-        """
-        _, _, _, out = cache
-        grad_output = np.asarray(grad_output, dtype=np.float64)
-        if self.output_activation == "softmax":
-            # J^T v for the softmax Jacobian: p*(v - <p,v>)
-            grad_logits = out * (grad_output - np.dot(out, grad_output))
-        else:
-            grad_logits = grad_output
-        return self.backward_from_logits(cache, grad_logits)
-
-    def backward_from_logits(self, cache, grad_logits):
-        """Parameter gradients given the gradient at the final linear layer.
-
-        Used directly for log-softmax policy gradients, where the logit
-        gradient (onehot - probs) is known in closed form and numerically
-        safer than routing through the Jacobian.
-        """
-        activations, pre_acts, _, _ = cache
-        grads = [None] * len(self.weights)
-        delta = np.array(grad_logits, dtype=np.float64)
-        for i in range(len(self.weights) - 1, -1, -1):
-            grads[i] = (delta[:, None] * activations[i][None, :], delta)
-            if i > 0:
-                delta = self.weights[i].T @ delta
-                delta *= self._act_grad(pre_acts[i - 1], activations[i])
-        return grads
-
-    def apply_step(self, grads, lr, clip_norm=None):
-        """Ascend along `grads`: clip their global L2 norm, then add lr * grads.
-
-        `grads` must be the full update direction (any TD-error factor
-        already folded in); the clip caps that direction before the
-        learning rate scales it. Raises NumericsError on non-finite steps.
-        """
-        # the squared norm doubles as the finiteness gate: any nan/inf
-        # entry poisons the sum
-        sq = 0.0
-        for dw, db in grads:
-            flat = dw.ravel()
-            sq += flat @ flat
-            sq += db @ db
-        if not np.isfinite(sq):
-            raise NumericsError("non-finite gradient; aborting run")
-        scale = lr
-        if clip_norm is not None and clip_norm > 0.0:
-            norm = np.sqrt(sq)
-            if norm > clip_norm:
-                scale = lr * (clip_norm / norm)
-        for (w, b), (dw, db) in zip(zip(self.weights, self.biases), grads):
-            w += scale * dw
-            b += scale * db
+            return softmax(h)
+        return h
 
     def snapshot(self):
-        """Flat JSON-friendly record: dims, activations and row-major params."""
+        """Flat JSON-friendly record: dims, output head and row-major params."""
         return {
             "layer_dims": list(self.layer_dims),
-            "hidden_activation": self.hidden_activation,
             "output_activation": self.output_activation,
             "weights": [w.ravel().tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
@@ -171,7 +84,6 @@ class FeedForwardNet:
     @classmethod
     def from_snapshot(cls, snap):
         net = cls(snap["layer_dims"],
-                  hidden_activation=snap["hidden_activation"],
                   output_activation=snap["output_activation"],
                   zero_init=True)
         for i, (w_flat, b) in enumerate(zip(snap["weights"], snap["biases"])):
@@ -229,6 +141,14 @@ def select_action(dist, mode, rng=None):
         # float shortfall at the top of the CDF: take the last valid entry
         idx = int(np.max(np.nonzero(dist)[0]))
     return idx
+
+
+def resolve_mode(action_mode, training):
+    """The `select_action` mode of an agent config: auto samples while
+    training and acts greedily otherwise."""
+    if action_mode == "auto":
+        return "sample" if training else "greedy"
+    return action_mode
 
 
 @dataclass
@@ -294,9 +214,8 @@ class _PendingSteps:
         if k:
             z = z + self._g[:k, rows].T @ self._u[0][:k]
         activations = [None]     # layer 0's inputs are rows of self._x
-        pre_acts = [z]
         for i in range(1, len(net.weights)):
-            h = net._act(z)
+            h = np.tanh(z)
             activations.append(h)
             z = h @ net.weights[i].T
             z += net.biases[i]
@@ -304,9 +223,8 @@ class _PendingSteps:
                 c = h @ self._v[i][:k].T
                 c += 1.0
                 z += c @ self._u[i][:k]
-            pre_acts.append(z)
         out = softmax(z) if net.output_activation == "softmax" else z
-        return out, (j, activations, pre_acts)
+        return out, (j, activations)
 
     def step(self, cache, grad_logits, lr, clip_norm=None):
         """Queue the clipped ascent step lr * grad_logits backpropagated.
@@ -316,7 +234,7 @@ class _PendingSteps:
         non-finite gradient; nothing has been written at that point.
         """
         net = self.net
-        j, activations, pre_acts = cache
+        j, activations = cache
         k = self.k
         deltas = [None] * len(net.weights)
         delta = np.asarray(grad_logits, dtype=np.float64)
@@ -328,14 +246,14 @@ class _PendingSteps:
             back = net.weights[i].T @ delta
             if k:
                 back += (self._u[i][:k] @ delta) @ self._v[i][:k]
-            back *= net._act_grad(pre_acts[i - 1][0], a)
+            back *= 1.0 - a * a      # tanh'
             delta = back
         sq += (delta @ delta) * self._gram1[j, j]
         deltas[0] = delta
         if not math.isfinite(sq):
             raise NumericsError("non-finite gradient; aborting run")
         scale = lr
-        if clip_norm is not None and clip_norm > 0.0 and sq > clip_norm ** 2:
+        if clip_norm is not None and sq > clip_norm ** 2:
             scale = lr * (clip_norm / math.sqrt(sq))
         for i, d in enumerate(deltas):
             np.multiply(d, scale, out=self._u[i][k])
@@ -365,7 +283,8 @@ class A2cAgent:
 
     The TD error doubles as the advantage estimate: the critic takes a
     semi-gradient step on the squared TD error, the actor a policy-gradient
-    step along grad log pi(a|O) scaled by the same error.
+    step along grad log pi(a|O) scaled by the same error. `clip_norm` caps
+    each step's global gradient norm; None disables the cap.
     """
     actor: FeedForwardNet
     critic: FeedForwardNet
@@ -375,17 +294,8 @@ class A2cAgent:
     clip_norm: float | None = 10.0
     rng_seed: int = 0
     update_count: int = field(default=0, repr=False)
-    # (critic, actor) pending steps while a `learn` call is open
-    _pending: tuple | None = field(default=None, init=False, repr=False,
-                                   compare=False)
 
     def __post_init__(self):
-        if not (0.0 <= self.gamma < 1.0):
-            raise ValueError(f"gamma {self.gamma} outside [0, 1)")
-        if not (0.0 < self.lr_actor <= 1.0):
-            raise ValueError(f"lr_actor {self.lr_actor} outside (0, 1]")
-        if not (0.0 < self.lr_critic <= 1.0):
-            raise ValueError(f"lr_critic {self.lr_critic} outside (0, 1]")
         if self.critic.output_dim != 1:
             raise ValueError("critic must have scalar output")
         if self.actor.output_activation != "softmax":
@@ -408,30 +318,18 @@ class A2cAgent:
 
     def action_distribution(self, obs, mask=None):
         """Softmax policy over the action set, renormalized over `mask`."""
-        probs, _ = self.actor.forward(obs)
+        probs = self.actor.forward(obs)
         if mask is not None:
             probs = masked_probs(probs, mask)
         return probs
 
-    def critic_value(self, obs):
-        out, _ = self.critic.forward(obs)
-        return float(out[0])
-
-    def td_error(self, t: TransitionRecord):
-        """R_t + gamma * V(O_{t+1}) - V(O_t); terminal bootstraps V = 0."""
-        v_next = 0.0 if t.terminal else self.critic_value(t.next_obs)
-        return t.reward + self.gamma * v_next - self.critic_value(t.obs)
-
-    def update_critic(self, t: TransitionRecord):
-        """One semi-gradient step on the squared TD error.
+    def update_critic(self, t: TransitionRecord, steps: _PendingSteps):
+        """Queue one semi-gradient step on the squared TD error in `steps`.
 
         The bootstrap target R + gamma*V(next) is held constant, so the
-        step is lr * delta * grad V(O_t). Returns delta computed before
-        the parameters move. Inside `learn` the step stays pending;
-        called on its own it is applied at once.
+        step is lr * delta * grad V(O_t); a terminal transition bootstraps
+        V = 0. Returns delta, computed before the step.
         """
-        steps = (self._pending[0] if self._pending
-                 else _PendingSteps(self.critic, [t], 2))
         out, cache = steps.forward(t)
         v_next = 0.0 if t.terminal else float(out[1, 0])
         delta = t.reward + self.gamma * v_next - float(out[0, 0])
@@ -441,24 +339,19 @@ class A2cAgent:
         # the step size is just the lr
         steps.step(cache, np.array([delta]), self.lr_critic, self.clip_norm)
         self.update_count += 1
-        if self._pending is None:
-            steps.write()
         return delta
 
-    def update_actor(self, t: TransitionRecord, delta):
-        """Policy-gradient step: theta += lr * delta * grad log pi(a_t|O_t).
+    def update_actor(self, t: TransitionRecord, delta, steps: _PendingSteps):
+        """Queue the policy-gradient step theta += lr * delta * grad log
+        pi(a_t|O_t) in `steps`.
 
         For a (possibly masked) softmax policy the logit gradient of
         log pi(a) is onehot(a) - pi, with masked-out entries at zero.
-        Inside `learn` the step stays pending; called on its own it is
-        applied at once.
         """
         if delta == 0.0:
             return
         if not (0 <= t.action_index < self.n_actions):
             raise ValueError(f"action index {t.action_index} out of range")
-        steps = (self._pending[1] if self._pending
-                 else _PendingSteps(self.actor, [t], 1))
         out, cache = steps.forward(t)
         probs = out[0]
         if t.mask is not None:
@@ -467,32 +360,27 @@ class A2cAgent:
         grad_logits[t.action_index] += delta
         steps.step(cache, grad_logits, self.lr_actor, self.clip_norm)
         self.update_count += 1
-        if self._pending is None:
-            steps.write()
 
     def learn(self, transitions):
         """One-step TD over `transitions` in order; returns the TD errors.
 
-        Takes the same steps as update_critic then update_actor on each
-        transition in turn, but every step is held as low-rank factors
-        and each layer of each net is written once, at the end. A
-        NumericsError leaves the parameters untouched.
+        Takes update_critic then update_actor on each transition in turn,
+        each step on the weights the previous steps left, but every step
+        is held as low-rank factors and each layer of each net is written
+        once, at the end. A NumericsError leaves the parameters untouched.
         """
         transitions = list(transitions)
         if not transitions:
             return []
-        self._pending = (_PendingSteps(self.critic, transitions, 2),
-                         _PendingSteps(self.actor, transitions, 1))
-        try:
-            deltas = []
-            for t in transitions:
-                delta = self.update_critic(t)
-                self.update_actor(t, delta)
-                deltas.append(delta)
-        finally:
-            pending, self._pending = self._pending, None
-        for steps in pending:
-            steps.write()
+        critic_steps = _PendingSteps(self.critic, transitions, 2)
+        actor_steps = _PendingSteps(self.actor, transitions, 1)
+        deltas = []
+        for t in transitions:
+            delta = self.update_critic(t, critic_steps)
+            self.update_actor(t, delta, actor_steps)
+            deltas.append(delta)
+        critic_steps.write()
+        actor_steps.write()
         return deltas
 
     def snapshot(self):

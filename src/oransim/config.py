@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .placement import PlacementConfig
+from .ran import RanConfig
 from .scheduler import SchedulerConfig
 
 MODES = ("dscd", "nf-du", "nf-cu")
@@ -23,18 +24,6 @@ class ConfigError(ValueError):
     def __init__(self, message, key=None):
         super().__init__(message)
         self.key = key
-
-
-@dataclass
-class RanConfig:
-    cell_spacing_m: float = 500.0
-    path_loss_exponent: float = 3.5
-    ref_distance_m: float = 1.0
-    near_snr_db: float = -70.0
-    max_radius_m: float = 600.0
-    shadow_sigma_db: float = 0.0
-    interference_cqi_penalty: int = 3
-    vehicle_speed_mps: float = 14.0
 
 
 @dataclass
@@ -233,6 +222,8 @@ def validate_config(cfg: SimConfig, allow_out_of_envelope=False):
             "a2c.lr_critic")
     require(cfg.a2c.actor_hidden >= 0 and cfg.a2c.critic_hidden >= 0,
             "hidden widths must be >= 0", "a2c.actor_hidden")
+    require(cfg.a2c.clip_norm > 0.0, "a2c.clip_norm must be > 0",
+            "a2c.clip_norm")
     require(cfg.traffic.ue_rate_bps >= 0.0, "traffic.ue_rate_bps must be >= 0",
             "traffic.ue_rate_bps")
     require(cfg.traffic.ue_rate_bps <= cfg.traffic.max_ue_rate_bps,
@@ -252,6 +243,9 @@ def validate_config(cfg: SimConfig, allow_out_of_envelope=False):
             "ran.max_radius_m")
     require(cfg.sched.slot_count >= 1, "sched.slot_count must be >= 1",
             "sched.slot_count")
+    require(cfg.sched.obs_buffer_cap_bits >= 1,
+            "sched.obs_buffer_cap_bits must be >= 1",
+            "sched.obs_buffer_cap_bits")
     require(cfg.sched.action_mode in ("auto", "sample", "greedy"),
             "sched.action_mode must be auto|sample|greedy",
             "sched.action_mode")

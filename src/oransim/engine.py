@@ -25,7 +25,6 @@ from .placement import (
     PlacementController,
 )
 from .ran import (
-    ChannelConfig,
     InterferenceView,
     UNASSIGNED,
     build_interference_view,
@@ -84,13 +83,6 @@ class Simulation:
 
         self.cells, self.bounds = grid_topology(
             cfg.n_cells, cfg.ran.cell_spacing_m, cfg.n_rbg)
-        self.channel_cfg = ChannelConfig(
-            path_loss_exponent=cfg.ran.path_loss_exponent,
-            ref_distance_m=cfg.ran.ref_distance_m,
-            near_snr_db=cfg.ran.near_snr_db,
-            max_radius_m=cfg.ran.max_radius_m,
-            shadow_sigma_db=cfg.ran.shadow_sigma_db,
-            interference_cqi_penalty=cfg.ran.interference_cqi_penalty)
 
         self.rng_channel = named_stream(seed, "channel")
         self.rng_traffic = named_stream(seed, "traffic")
@@ -184,7 +176,7 @@ class Simulation:
         cell_by_id = {c.cell_id: c for c in self.cells}
         for ue in self.ues:
             ue.cqi_per_rbg = compute_cqi(
-                ue, cell_by_id[ue.serving_cell_id], view, self.channel_cfg,
+                ue, cell_by_id[ue.serving_cell_id], view, cfg.ran,
                 self.rng_channel)
 
         # per-cell scheduling; CU-placed cells coordinate in DU id order

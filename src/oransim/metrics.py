@@ -203,3 +203,23 @@ def aggregate_rows(all_rows):
             agg[col] = sum(vals) / len(vals) if vals else None
         out.append(agg)
     return out
+
+
+def tail_summary(ledgers, tail):
+    """Across-run means of pdr, mean HoL ("hol") and throughput ("thpt")
+    per class over the TTI range `tail`; a mean over no values is None."""
+    classes = [c for c in CLASS_ORDER if any(c in led.totals for led in ledgers)]
+    out = {}
+    for cls in classes:
+        vals = {"pdr": [], "hol": [], "thpt": []}
+        for led in ledgers:
+            p = led.pdr(cls, tail)
+            h = led.mean_hol_ms(cls, tail)
+            if p is not None:
+                vals["pdr"].append(p)
+            if h is not None:
+                vals["hol"].append(h)
+            vals["thpt"].append(led.throughput_kbps(cls, tail))
+        out[cls] = {k: (sum(v) / len(v) if v else None)
+                    for k, v in vals.items()}
+    return out

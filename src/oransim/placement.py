@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .a2c import A2cAgent, TransitionRecord, select_action
+from .a2c import A2cAgent, TransitionRecord, resolve_mode, select_action
 from .traffic import CLASS_ORDER, class_of_qci
 
 LOCATION_DU = 0
@@ -33,19 +33,6 @@ class PlacementConfig:
     training: bool = True
     action_mode: str = "auto"
     pin: str | None = None      # "du" | "cu": override applied actions, keep learning
-
-    def __post_init__(self):
-        if self.epoch_ttis < 1:
-            raise ValueError("epoch length must be >= 1 TTI")
-        if self.cu_extra_delay_ttis < 0:
-            raise ValueError("cu_extra_delay must be >= 0")
-        if self.tau < 0 or self.lam < 0:
-            raise ValueError("reward weights must be >= 0")
-
-    def resolve_mode(self):
-        if self.action_mode == "auto":
-            return "sample" if self.training else "greedy"
-        return self.action_mode
 
 
 def dscd_reward_sample(is_urllc, at_du, within_budget, tau, lam):
@@ -136,7 +123,8 @@ class PlacementController:
             raise ValueError("dynamic placement needs an agent")
         start = forced if forced is not None else LOCATION_DU
         self.locations = {du: start for du in self.du_ids}
-        self._pending: dict[int, TransitionRecord] = {}
+        # per DU: last epoch's decision, awaiting its reward and next obs
+        self._open: dict[int, TransitionRecord] = {}
         self._samples: dict[int, list] = {du: [] for du in self.du_ids}
 
     def location(self, du_id):
@@ -174,19 +162,20 @@ class PlacementController:
                 obs = build_placement_observation(
                     du_queues[du], tti, self.locations[du], cu_fraction,
                     self.tti_ms)
-                pending = self._pending.pop(du, None)
-                if pending is not None and self.cfg.training:
-                    pending.reward = epoch_reward(
+                last = self._open.pop(du, None)
+                if last is not None and self.cfg.training:
+                    last.reward = epoch_reward(
                         self._samples[du], self.locations[du],
                         self.cfg.tau, self.cfg.lam)
-                    pending.next_obs = obs
-                    self.agent.learn([pending])
+                    last.next_obs = obs
+                    self.agent.learn([last])
                 probs = self.agent.action_distribution(obs)
-                action = select_action(probs, self.cfg.resolve_mode(), self.rng)
+                mode = resolve_mode(self.cfg.action_mode, self.cfg.training)
+                action = select_action(probs, mode, self.rng)
                 applied = action
                 if self.cfg.pin is not None:
                     applied = LOCATION_NAMES.index(self.cfg.pin)
-                self._pending[du] = TransitionRecord(
+                self._open[du] = TransitionRecord(
                     obs=obs, action_index=action, reward=0.0, next_obs=obs)
             self._samples[du] = []
             self.locations[du] = applied

@@ -28,13 +28,15 @@ RBG_CAPACITY_BITS = (
 
 
 @dataclass
-class ChannelConfig:
+class RanConfig:
+    cell_spacing_m: float = 500.0
     path_loss_exponent: float = 3.5
     ref_distance_m: float = 1.0
     near_snr_db: float = -70.0     # at or above this, CQI 15
     max_radius_m: float = 600.0    # at this distance (and no shadowing), CQI 1
     shadow_sigma_db: float = 0.0   # 0 disables the shadowing draw
     interference_cqi_penalty: int = 3
+    vehicle_speed_mps: float = 14.0
 
     def far_snr_db(self):
         return -10.0 * self.path_loss_exponent * math.log10(
@@ -58,7 +60,6 @@ class Ue:
     ue_id: int
     position: tuple[float, float]
     serving_cell_id: int
-    velocity: tuple[float, float] = (0.0, 0.0)
     cqi_per_rbg: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
     waypoint: tuple[float, float] | None = None
     speed_mps: float = 0.0
@@ -72,14 +73,14 @@ def distance(a, b):
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
-def snr_to_cqi(snr_db, cfg: ChannelConfig):
+def snr_to_cqi(snr_db, cfg: RanConfig):
     far = cfg.far_snr_db()
     frac = (snr_db - far) / (cfg.near_snr_db - far)
     frac = min(max(frac, 0.0), 1.0)
     return int(round(CQI_MIN + (CQI_MAX - CQI_MIN) * frac))
 
 
-def compute_cqi(ue: Ue, cell: Cell, interference, cfg: ChannelConfig, rng=None):
+def compute_cqi(ue: Ue, cell: Cell, interference, cfg: RanConfig, rng=None):
     """Per-RBG CQI vector for a UE attached to `cell`.
 
     Base CQI comes from path loss at the UE's distance (plus shadowing
@@ -122,10 +123,6 @@ class InterferenceView:
     def empty(cls):
         return cls({})
 
-    def interferers(self, cell_id, rbg):
-        """Other cells that assigned `rbg` in the same TTI."""
-        return tuple(c for c in self._users.get(rbg, ()) if c != cell_id)
-
     def interfered_rbgs(self, cell_id):
         """RBGs on which `cell_id` collided with at least one other cell."""
         out = []
@@ -137,9 +134,6 @@ class InterferenceView:
     def collision_count(self):
         """Number of (cell, rbg) pairs involved in a collision."""
         return sum(len(cells) for cells in self._users.values() if len(cells) > 1)
-
-    def is_empty(self):
-        return all(len(cells) < 2 for cells in self._users.values())
 
 
 def build_interference_view(allocations) -> InterferenceView:
@@ -186,8 +180,6 @@ def step_mobility(ue: Ue, dt_s, bounds, cells, rng):
         ue.position = (ue.position[0] + dx * f, ue.position[1] + dy * f)
     ue.position = (min(max(ue.position[0], xmin), xmax),
                    min(max(ue.position[1], ymin), ymax))
-    ue.velocity = (dx / dist_left * ue.speed_mps, dy / dist_left * ue.speed_mps) \
-        if dist_left > 0 else (0.0, 0.0)
     ue.serving_cell_id = nearest_cell_id(ue.position, cells)
     return ue
 

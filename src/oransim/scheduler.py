@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .a2c import A2cAgent, TransitionRecord, select_action
+from .a2c import A2cAgent, TransitionRecord, resolve_mode, select_action
 from .ran import Cell, UNASSIGNED, rbg_capacity
 
 N_SLOT_FEATURES = 5
@@ -30,11 +30,6 @@ class SchedulerConfig:
 
     def obs_dim(self):
         return self.slot_count * N_SLOT_FEATURES
-
-    def resolve_mode(self):
-        if self.action_mode == "auto":
-            return "sample" if self.training else "greedy"
-        return self.action_mode
 
 
 @dataclass
@@ -58,8 +53,6 @@ class CellTti:
 class TtiSchedule:
     allocation: np.ndarray                 # per RBG: ue_id or UNASSIGNED
     granted_bits: dict                     # ue_id -> bits granted this TTI
-    transitions: list
-    rewards: list                          # scheduler reward per assignment
 
 
 def reward_r1(cqi_chosen, candidate_cqis):
@@ -142,15 +135,13 @@ def schedule_tti(agent: A2cAgent, ctx: CellTti, cfg: SchedulerConfig, rng):
     allocation = np.full(n_rbg, UNASSIGNED, dtype=int)
     if ctx.blocked_rbgs.issuperset(range(n_rbg)):
         # a coordinated peer took every RBG: no decision, nothing to learn
-        return TtiSchedule(allocation=allocation, granted_bits={},
-                           transitions=[], rewards=[])
+        return TtiSchedule(allocation=allocation, granted_bits={})
     slot_ues = select_slot_ues(ctx, cfg)
     uncovered = {ue.ue_id: ctx.queues[ue.ue_id].queued_remaining_bits
                  for ue in slot_ues if ue is not None}
     granted = {}
     transitions = []
-    rewards = []
-    mode = cfg.resolve_mode()
+    mode = resolve_mode(cfg.action_mode, cfg.training)
 
     for rbg in range(n_rbg):
         if rbg in ctx.blocked_rbgs:
@@ -185,7 +176,6 @@ def schedule_tti(agent: A2cAgent, ctx: CellTti, cfg: SchedulerConfig, rng):
         transitions.append(TransitionRecord(
             obs=obs, action_index=action, reward=float(reward),
             next_obs=obs, mask=mask))
-        rewards.append(reward)
 
     if transitions:
         transitions[-1].terminal = True
@@ -193,5 +183,4 @@ def schedule_tti(agent: A2cAgent, ctx: CellTti, cfg: SchedulerConfig, rng):
     if cfg.training:
         agent.learn(transitions)
 
-    return TtiSchedule(allocation=allocation, granted_bits=granted,
-                       transitions=transitions, rewards=rewards)
+    return TtiSchedule(allocation=allocation, granted_bits=granted)

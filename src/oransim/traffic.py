@@ -108,9 +108,6 @@ class RlcQueue:
     def queued_remaining_bits(self):
         return self._queued_remaining_bits
 
-    def head(self):
-        return self._packets[0] if self._packets else None
-
     def hol_delay_ms(self, now_tti, extra_ms=0.0):
         """Effective age of the head packet; 0 for an empty queue."""
         if not self._packets:

@@ -74,24 +74,42 @@ def fd_gradient(net, x, scalar_fn, step=1e-5):
     return grad
 
 
-def flatten_grads(grads):
-    return np.concatenate([dw.ravel() for dw, _ in grads]
-                          + [db.ravel() for _, db in grads])
-
-
 def max_rel_error(a, b, floor=1e-6):
     scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / scale))
 
 
-def reference_step(net, cache, grad_logits, lr, clip_norm):
+def value(net, x):
+    """Scalar output of a critic net."""
+    return float(net.forward(x)[0])
+
+
+def td_error(agent, t):
+    """R_t + gamma * V(O_{t+1}) - V(O_t) on the current weights; a terminal
+    transition bootstraps V = 0."""
+    v_next = 0.0 if t.terminal else value(agent.critic, t.next_obs)
+    return t.reward + agent.gamma * v_next - value(agent.critic, t.obs)
+
+
+def forward_trace(net, x):
+    """Post-activations per layer ([0] is the input) and the net's output."""
+    activations = [np.asarray(x, dtype=np.float64)]
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = w @ activations[-1] + b
+        activations.append(z if i == last else np.tanh(z))
+    out = activations[-1]
+    return activations, softmax(out) if net.output_activation == "softmax" else out
+
+
+def reference_step(net, activations, grad_logits, lr, clip_norm):
     """Fused backprop plus clipped ascent, written into the net at once.
 
     The per-transition update `A2cAgent.learn` defers: one rank-1 write
     per layer per step, norms from ||outer(d, a)||_F = ||d||*||a||.
-    Returns whether the clip fired.
+    `activations` come from `forward_trace`. Returns whether the clip
+    fired.
     """
-    activations, pre_acts, _, _ = cache
     deltas = [None] * len(net.weights)
     delta = np.asarray(grad_logits, dtype=np.float64)
     sq = 0.0
@@ -101,7 +119,7 @@ def reference_step(net, cache, grad_logits, lr, clip_norm):
         deltas[i] = delta
         if i > 0:
             delta = net.weights[i].T @ delta
-            delta *= net._act_grad(pre_acts[i - 1], activations[i])
+            delta *= 1.0 - a * a
     assert np.isfinite(sq)
     clipped = clip_norm is not None and sq > clip_norm ** 2
     scale = lr * (clip_norm / np.sqrt(sq)) if clipped else lr
@@ -118,30 +136,68 @@ def sequential_learn(agent, transitions):
     deltas = []
     clips = 0
     for t in transitions:
-        v_next = 0.0 if t.terminal else agent.critic_value(t.next_obs)
-        out, cache = agent.critic.forward(t.obs)
-        delta = t.reward + agent.gamma * v_next - float(out[0])
+        delta = td_error(agent, t)
         deltas.append(delta)
         if delta == 0.0:
             continue
-        clips += reference_step(agent.critic, cache, np.array([delta]),
+        activations, _ = forward_trace(agent.critic, t.obs)
+        clips += reference_step(agent.critic, activations, np.array([delta]),
                                 agent.lr_critic, agent.clip_norm)
-        probs, cache = agent.actor.forward(t.obs)
+        activations, probs = forward_trace(agent.actor, t.obs)
         if t.mask is not None:
             probs = masked_probs(probs, t.mask)
         grad_logits = probs * (-delta)
         grad_logits[t.action_index] += delta
-        clips += reference_step(agent.actor, cache, grad_logits,
+        clips += reference_step(agent.actor, activations, grad_logits,
                                 agent.lr_actor, agent.clip_norm)
         agent.update_count += 2
     return deltas, clips
+
+
+def applied_step(agent, transitions):
+    """`agent.learn(transitions)`: its TD errors and the change it made to
+    each net's packed parameters, (actor, critic)."""
+    before = [pack_params(agent.actor), pack_params(agent.critic)]
+    deltas = agent.learn(transitions)
+    return deltas, [pack_params(agent.actor) - before[0],
+                    pack_params(agent.critic) - before[1]]
+
+
+def expected_step(agent, t, delta):
+    """lr * delta * gradient by central differences, for the actor
+    (grad log pi(a_t|O_t), masked) and the critic (grad V(O_t)), each
+    clipped to the agent's clip_norm. Returns the (actor, critic) steps
+    and how many of them the clip scaled."""
+    def log_prob(net, x):
+        out = net.forward(x)
+        p = out if t.mask is None else masked_probs(out, t.mask)
+        return math.log(p[t.action_index])
+
+    steps, clips = [], 0
+    for net, fn, lr in ((agent.actor, log_prob, agent.lr_actor),
+                        (agent.critic, value, agent.lr_critic)):
+        g = delta * fd_gradient(net, t.obs, fn, step=1e-5)
+        norm = np.linalg.norm(g)
+        if agent.clip_norm is not None and norm > agent.clip_norm:
+            g *= agent.clip_norm / norm
+            clips += 1
+        steps.append(lr * g)
+    return steps, clips
+
+
+def learn_with_delta(agent, obs, action, delta, mask=None):
+    """`learn` on one transition whose TD error is exactly `delta`: under
+    a zero critic a terminal transition's TD error is its reward."""
+    agent.critic = FeedForwardNet(agent.critic.layer_dims, zero_init=True)
+    t = TransitionRecord(obs, action, delta, obs, terminal=True, mask=mask)
+    assert agent.learn([t]) == [delta]
 
 
 # ------------------------------------------------------------ forward pass
 
 def test_zero_net_gives_uniform_policy():
     net = FeedForwardNet([4, 6, 3], zero_init=True, output_activation="softmax")
-    probs, _ = net.forward(np.array([0.3, -0.1, 0.9, 0.2]))
+    probs = net.forward(np.array([0.3, -0.1, 0.9, 0.2]))
     assert np.allclose(probs, 1.0 / 3.0, atol=1e-12)
 
 
@@ -149,7 +205,7 @@ def test_softmax_closed_form_quarter_three_quarters():
     # logits (z, z + ln 3) -> probabilities (0.25, 0.75)
     net = FeedForwardNet([1, 2], zero_init=True, output_activation="softmax")
     net.biases[0][:] = [0.7, 0.7 + math.log(3.0)]
-    probs, _ = net.forward(np.array([0.0]))
+    probs = net.forward(np.array([0.0]))
     assert probs == pytest.approx([0.25, 0.75], abs=1e-12)
 
 
@@ -158,7 +214,7 @@ def test_forward_matches_scripted_oracle():
     for out_act in ("identity", "softmax"):
         net = FeedForwardNet([5, 8, 4], rng, output_activation=out_act)
         x = rng.uniform(-1, 1, size=5)
-        out, _ = net.forward(x)
+        out = net.forward(x)
         assert np.max(np.abs(out - oracle_forward(net, x))) < 1e-12
 
 
@@ -220,63 +276,65 @@ def make_agent(seed=0, obs_dim=4, n_actions=3, actor_hidden=6, critic_hidden=5,
 
 def test_zero_critic_value_is_zero():
     critic = FeedForwardNet([4, 5, 1], zero_init=True)
-    actor = FeedForwardNet([4, 5, 2], zero_init=True, output_activation="softmax")
-    agent = A2cAgent(actor=actor, critic=critic)
-    assert agent.critic_value(np.array([0.1, 0.2, 0.3, 0.4])) == 0.0
+    assert value(critic, np.array([0.1, 0.2, 0.3, 0.4])) == 0.0
 
 
 def test_critic_matches_oracle_and_is_deterministic():
     agent = make_agent(seed=11)
     obs = np.array([0.4, -0.2, 0.9, 0.0])
-    v = agent.critic_value(obs)
+    v = value(agent.critic, obs)
     assert v == pytest.approx(float(oracle_forward(agent.critic, obs)[0]), abs=1e-12)
-    assert agent.critic_value(obs.copy()) == v
+    assert value(agent.critic, obs.copy()) == v
+
+
+def linear_value_agent(gamma):
+    """An agent whose critic is V = x[0], so observations encode values."""
+    agent = make_agent(seed=3, gamma=gamma, obs_dim=2)
+    agent.critic = FeedForwardNet([2, 1], zero_init=True)
+    agent.critic.weights[0][:] = [[1.0, 0.0]]
+    return agent
 
 
 def test_td_error_arithmetic():
-    agent = make_agent(seed=3, gamma=0.9, obs_dim=2)
-    # linear critic V = x[0] so observations encode the wanted values
-    agent.critic = FeedForwardNet([2, 1], zero_init=True)
-    agent.critic.weights[0][:] = [[1.0, 0.0]]
     cur = np.array([0.2, 0.0])
     nxt = np.array([0.5, 0.0])
-
     # R=1, gamma=0.9, V(next)=0.5, V(cur)=0.2 -> delta = 1.25
-    t = TransitionRecord(cur, 0, 1.0, nxt)
-    assert agent.td_error(t) == pytest.approx(1.25, abs=1e-15)
+    agent = linear_value_agent(0.9)
+    assert agent.learn([TransitionRecord(cur, 0, 1.0, nxt)]) == [
+        pytest.approx(1.25, abs=1e-15)]
 
     # terminal bootstraps V(next) = 0: R=1, V(cur)=1.0 -> delta = 0
+    agent = linear_value_agent(0.9)
     one = np.array([1.0, 0.0])
     t = TransitionRecord(one, 0, 1.0, nxt, terminal=True)
-    assert agent.td_error(t) == pytest.approx(0.0, abs=1e-15)
+    assert agent.learn([t]) == [pytest.approx(0.0, abs=1e-15)]
 
 
 def test_td_error_fixed_point_is_zero():
-    agent = make_agent(seed=4)
-    agent.gamma = 0.99
+    agent = make_agent(seed=4, obs_dim=2)
     agent.critic = FeedForwardNet([2, 1], zero_init=True)
     agent.critic.biases[0][:] = [0.7]
     agent.gamma = 1.0 - 1e-12  # gamma ~ 1 within the allowed range
     t = TransitionRecord(np.zeros(2), 0, 0.0, np.zeros(2))
-    assert agent.td_error(t) == pytest.approx(0.0, abs=1e-12)
+    assert agent.learn([t]) == [pytest.approx(0.0, abs=1e-12)]
 
 
 def test_update_critic_zero_delta_leaves_params_bitwise():
     agent = make_agent(seed=9)
     agent.critic = FeedForwardNet([4, 1], zero_init=True)
     obs = np.array([0.5, 0.5, 0.5, 0.5])
-    before = [w.copy() for w in agent.critic.weights]
+    before = [p.copy() for p in params_of(agent)]
     # reward engineered so delta == 0: R = V(cur) - gamma*V(next) = 0 here
-    delta = agent.update_critic(TransitionRecord(obs, 0, 0.0, obs))
-    assert delta == 0.0
-    for w, old in zip(agent.critic.weights, before):
-        assert w.tobytes() == old.tobytes()
+    assert agent.learn([TransitionRecord(obs, 0, 0.0, obs)]) == [0.0]
+    for p, old in zip(params_of(agent), before):
+        assert p.tobytes() == old.tobytes()
+    assert agent.update_count == 0
 
 
 def test_update_critic_linear_closed_form():
     # V = w.x + b: grad_w V = x, grad_b V = 1, so the update must be
     # exactly w += lr*delta*x, b += lr*delta.
-    agent = make_agent(seed=2, gamma=0.9, lr_critic=0.05)
+    agent = make_agent(seed=2, obs_dim=3, gamma=0.9, lr_critic=0.05)
     agent.clip_norm = None
     agent.critic = FeedForwardNet([3, 1], zero_init=True)
     agent.critic.weights[0][:] = [[0.3, -0.2, 0.1]]
@@ -289,8 +347,8 @@ def test_update_critic_linear_closed_form():
     delta = reward + 0.9 * v_next - v_cur
     w_expect = agent.critic.weights[0].copy() + 0.05 * delta * obs
     b_expect = 0.05 + 0.05 * delta
-    got = agent.update_critic(TransitionRecord(obs, 0, reward, nxt))
-    assert got == pytest.approx(delta, abs=1e-15)
+    got = agent.learn([TransitionRecord(obs, 0, reward, nxt)])
+    assert got == [pytest.approx(delta, abs=1e-15)]
     assert np.max(np.abs(agent.critic.weights[0] - w_expect)) < 1e-12
     assert agent.critic.biases[0][0] == pytest.approx(b_expect, abs=1e-12)
 
@@ -308,30 +366,29 @@ def test_critic_converges_on_two_state_mdp():
     s0 = np.array([1.0, 0.0])
     s1 = np.array([0.0, 1.0])
     for _ in range(5000):
-        agent.update_critic(TransitionRecord(s0, 0, 1.0, s1))
-        agent.update_critic(TransitionRecord(s1, 0, 0.0, s0))
-    assert agent.critic_value(s0) == pytest.approx(v_star[0], abs=1e-2)
-    assert agent.critic_value(s1) == pytest.approx(v_star[1], abs=1e-2)
+        agent.learn([TransitionRecord(s0, 0, 1.0, s1)])
+        agent.learn([TransitionRecord(s1, 0, 0.0, s0)])
+    assert value(agent.critic, s0) == pytest.approx(v_star[0], abs=1e-2)
+    assert value(agent.critic, s1) == pytest.approx(v_star[1], abs=1e-2)
 
 
 # ------------------------------------------------------------------- actor
 
 def test_update_actor_zero_delta_leaves_params_bitwise():
     agent = make_agent(seed=21)
-    before = [w.copy() for w in agent.actor.weights]
-    t = TransitionRecord(np.zeros(4), 1, 0.0, np.zeros(4))
-    agent.update_actor(t, 0.0)
-    for w, old in zip(agent.actor.weights, before):
+    before = [w.copy() for w in agent.actor.weights + agent.actor.biases]
+    learn_with_delta(agent, np.zeros(4), 1, 0.0)
+    for w, old in zip(agent.actor.weights + agent.actor.biases, before):
         assert w.tobytes() == old.tobytes()
+    assert agent.update_count == 0
 
 
 def test_positive_delta_raises_chosen_action_probability_each_step():
     agent = make_agent(seed=33)
     obs = np.array([0.2, -0.4, 0.7, 0.1])
-    t = TransitionRecord(obs, 2, 1.0, obs)
     prev = agent.action_distribution(obs)[2]
     for _ in range(25):
-        agent.update_actor(t, 0.5)
+        learn_with_delta(agent, obs, 2, 0.5)
         cur = agent.action_distribution(obs)[2]
         assert cur > prev
         prev = cur
@@ -345,7 +402,7 @@ def test_policy_gradient_sign_property(seed, sign):
     obs = rng.uniform(-1, 1, size=4)
     action = int(rng.integers(0, 3))
     before = agent.action_distribution(obs)[action]
-    agent.update_actor(TransitionRecord(obs, action, 0.0, obs), sign * 0.3)
+    learn_with_delta(agent, obs, action, sign * 0.3)
     after = agent.action_distribution(obs)[action]
     if sign > 0:
         assert after >= before
@@ -356,20 +413,19 @@ def test_policy_gradient_sign_property(seed, sign):
 def test_log_prob_gradient_matches_finite_differences():
     agent = make_agent(seed=17, obs_dim=5, n_actions=4, actor_hidden=8,
                        critic_hidden=6)
-    assert agent.actor.num_params() <= 1000
+    agent.clip_norm = None
+    assert pack_params(agent.actor).size <= 1000
     rng = np.random.default_rng(17)
     obs = rng.uniform(-1, 1, size=5)
     action = 2
-    probs, cache = agent.actor.forward(obs)
-    grad_logits = -probs
-    grad_logits[action] += 1.0
-    analytic = flatten_grads(agent.actor.backward_from_logits(cache, grad_logits))
 
     def log_prob(net, x):
-        out, _ = net.forward(x)
-        return math.log(out[action])
+        return math.log(net.forward(x)[action])
 
     numeric = fd_gradient(agent.actor, obs, log_prob)
+    before = pack_params(agent.actor)
+    learn_with_delta(agent, obs, action, 1.0)
+    analytic = (pack_params(agent.actor) - before) / agent.lr_actor
     assert max_rel_error(analytic, numeric) < 1e-4
 
 
@@ -378,8 +434,7 @@ def test_forced_single_valid_action_gives_zero_actor_gradient():
     obs = np.array([0.1, 0.2, 0.3, 0.4])
     mask = np.array([False, True, False])
     before = [w.copy() for w in agent.actor.weights]
-    t = TransitionRecord(obs, 1, 1.0, obs, mask=mask)
-    agent.update_actor(t, 0.8)
+    learn_with_delta(agent, obs, 1, 0.8, mask)
     # log pi of the only valid action is 0 identically, so nothing moves
     for w, old in zip(agent.actor.weights, before):
         assert w.tobytes() == old.tobytes()
@@ -388,55 +443,53 @@ def test_forced_single_valid_action_gives_zero_actor_gradient():
 # ----------------------------------------------------------------- backprop
 
 def test_single_linear_layer_gradient_is_outer_product():
-    net = FeedForwardNet([3, 2], zero_init=True)
-    net.weights[0][:] = [[0.2, -0.1, 0.4], [0.0, 0.3, -0.2]]
+    # no hidden layer: learn's step on each net is lr * outer(grad_logits, x)
+    agent = make_agent(seed=31, obs_dim=3, n_actions=2, actor_hidden=0,
+                       critic_hidden=0)
+    agent.clip_norm = None
     x = np.array([1.0, -2.0, 0.5])
-    _, cache = net.forward(x)
-    v = np.array([1.0, 2.0])
-    grads = net.backward(cache, v)
-    assert np.array_equal(grads[0][0], np.outer(v, x))
-    assert np.array_equal(grads[0][1], v)
+    probs = agent.action_distribution(x)
+    old = [p.copy() for p in params_of(agent)]
+    [delta] = agent.learn([TransitionRecord(x, 1, 0.75, x, terminal=True)])
+    d_actor = agent.lr_actor * delta * (np.array([0.0, 1.0]) - probs)
+    d_critic = np.array([agent.lr_critic * delta])
+    want = [old[0] + np.outer(d_actor, x), old[1] + d_actor,
+            old[2] + np.outer(d_critic, x), old[3] + d_critic]
+    for got, w in zip(params_of(agent), want):
+        np.testing.assert_allclose(got, w, rtol=1e-13, atol=1e-16)
 
 
 def test_zero_input_zero_bias_first_layer_weight_grads_vanish():
-    rng = np.random.default_rng(8)
-    net = FeedForwardNet([4, 5, 2], rng)
-    _, cache = net.forward(np.zeros(4))
-    grads = net.backward(cache, np.array([1.0, -1.0]))
-    assert np.all(grads[0][0] == 0.0)
+    agent = make_agent(seed=8, obs_dim=4, n_actions=2, actor_hidden=5,
+                       critic_hidden=5)
+    before = [net.weights[0].copy() for net in (agent.actor, agent.critic)]
+    deltas, steps = applied_step(
+        agent, [TransitionRecord(np.zeros(4), 1, 1.0, np.zeros(4),
+                                 terminal=True)])
+    assert deltas[0] != 0.0 and all(np.any(s != 0.0) for s in steps)
+    for net, old in zip((agent.actor, agent.critic), before):
+        assert net.weights[0].tobytes() == old.tobytes()
 
 
 def test_three_layer_backprop_matches_finite_differences():
     rng = np.random.default_rng(99)
-    net = FeedForwardNet([6, 9, 7, 3], rng)
-    assert net.num_params() <= 1000
+    agent = A2cAgent(
+        actor=FeedForwardNet([6, 9, 7, 3], rng, output_activation="softmax"),
+        critic=FeedForwardNet([6, 9, 7, 1], rng), clip_norm=None)
+    assert pack_params(agent.actor).size <= 1000
     x = rng.uniform(-1, 1, size=6)
-    v = rng.uniform(-1, 1, size=3)
-    _, cache = net.forward(x)
-    analytic = flatten_grads(net.backward(cache, v))
-
-    def scalar(net_, x_):
-        out, _ = net_.forward(x_)
-        return float(np.dot(out, v))
-
-    numeric = fd_gradient(net, x, scalar)
-    assert max_rel_error(analytic, numeric) < 1e-4
-
-
-def test_softmax_head_backward_matches_finite_differences():
-    rng = np.random.default_rng(15)
-    net = FeedForwardNet([4, 6, 3], rng, output_activation="softmax")
-    x = rng.uniform(-1, 1, size=4)
-    v = rng.uniform(-1, 1, size=3)
-    _, cache = net.forward(x)
-    analytic = flatten_grads(net.backward(cache, v))
-
-    def scalar(net_, x_):
-        out, _ = net_.forward(x_)
-        return float(np.dot(out, v))
-
-    numeric = fd_gradient(net, x, scalar)
-    assert max_rel_error(analytic, numeric) < 1e-4
+    t = TransitionRecord(x, 1, 1.5, rng.uniform(-1, 1, size=6))
+    reference = A2cAgent.from_snapshot(agent.snapshot())
+    want, _ = expected_step(agent, t, td_error(agent, t))
+    _, got = applied_step(agent, [t])
+    for g, w in zip(got, want):
+        assert max_rel_error(g, w) < 1e-4
+    # a chain of steps, each backpropagated through the pending ones
+    chain = random_transitions(agent, 5, True, 99, 6, 3)
+    want_deltas, _ = sequential_learn(reference, [t] + chain)
+    assert agent.learn(chain) == pytest.approx(want_deltas[1:], rel=1e-12,
+                                               abs=1e-12)
+    assert_params_close(agent, reference)
 
 
 # ------------------------------------------------------- deferred learning
@@ -463,7 +516,7 @@ def random_transitions(agent, k, masked, seed, obs_dim, n_actions):
     out[-1].reward = 40.0
     if k >= 2:
         zero = np.zeros(obs_dim)
-        out[0] = TransitionRecord(zero, 0, agent.critic_value(zero), obs[1],
+        out[0] = TransitionRecord(zero, 0, value(agent.critic, zero), obs[1],
                                   terminal=True)
     return out
 
@@ -510,32 +563,13 @@ def test_learn_changes_parameters_by_lr_delta_gradient():
         nxt = rng.uniform(-1, 1, size=6)
         mask = np.array([True, False, True, True]) if masked else None
         t = TransitionRecord(obs, 2, reward, nxt, mask=mask)
-        delta = agent.td_error(t)
-
-        def log_prob(net, x):
-            out, _ = net.forward(x)
-            p = out if mask is None else masked_probs(out, mask)
-            return math.log(p[t.action_index])
-
-        def value(net, x):
-            out, _ = net.forward(x)
-            return float(out[0])
-
-        expected = []
-        for net, fn, lr in ((agent.actor, log_prob, agent.lr_actor),
-                            (agent.critic, value, agent.lr_critic)):
-            g = delta * fd_gradient(net, obs, fn, step=1e-5)
-            norm = np.linalg.norm(g)
-            if norm > agent.clip_norm:
-                g *= agent.clip_norm / norm
-                clip_hits += 1
-            expected.append(lr * g)
+        delta = td_error(agent, t)
+        expected, clips = expected_step(agent, t, delta)
+        clip_hits += clips
         reference = A2cAgent.from_snapshot(agent.snapshot())
         sequential_learn(reference, [t])
-        before = [pack_params(agent.actor), pack_params(agent.critic)]
-        assert agent.learn([t]) == [pytest.approx(delta, rel=1e-12)]
-        applied = [pack_params(agent.actor) - before[0],
-                   pack_params(agent.critic) - before[1]]
+        deltas, applied = applied_step(agent, [t])
+        assert deltas == [pytest.approx(delta, rel=1e-12)]
         for got, want in zip(applied, expected):
             worst = max(worst, max_rel_error(got, want))
         assert agent.update_count == reference.update_count == 2
@@ -555,7 +589,6 @@ def test_learn_numerics_error_writes_nothing():
         agent.learn(ts)
     for p, old in zip(params_of(agent), before):
         assert p.tobytes() == old.tobytes()
-    assert agent._pending is None
 
 
 def test_learn_on_no_transitions_is_a_noop():
@@ -573,14 +606,24 @@ def test_non_finite_gradient_aborts():
     agent.critic.weights[0][0, 0] = np.nan
     obs = np.ones(4)
     with pytest.raises(NumericsError):
-        agent.update_critic(TransitionRecord(obs, 0, 1.0, obs))
+        agent.learn([TransitionRecord(obs, 0, 1.0, obs)])
 
 
 def test_gradient_clipping_caps_step_norm():
-    net = FeedForwardNet([2, 1], zero_init=True)
-    big = [(np.array([[30.0, 40.0]]), np.array([0.0]))]  # norm 50
-    net.apply_step(big, lr=1.0, clip_norm=10.0)
-    assert np.linalg.norm(net.weights[0]) == pytest.approx(10.0, abs=1e-12)
+    agent = make_agent(seed=5, obs_dim=2)
+    agent.critic = FeedForwardNet([2, 1], zero_init=True)
+    x = np.array([30.0, 40.0])
+    # delta = 100: the critic's gradient 100 * (30, 40, 1) is far over 10
+    _, (actor_step, critic_step) = applied_step(
+        agent, [TransitionRecord(x, 0, 100.0, x, terminal=True)])
+    cap = agent.clip_norm
+    assert np.linalg.norm(critic_step) == pytest.approx(
+        agent.lr_critic * cap, rel=1e-12)
+    assert critic_step == pytest.approx(
+        agent.lr_critic * cap * np.array([30.0, 40.0, 1.0]) / math.sqrt(2501.0),
+        rel=1e-12)
+    assert np.linalg.norm(actor_step) == pytest.approx(
+        agent.lr_actor * cap, rel=1e-12)
 
 
 def test_identical_seeds_and_streams_give_bitwise_identical_params():
@@ -607,15 +650,20 @@ def test_snapshot_round_trip_is_bitwise():
     agent = make_agent(seed=55)
     clone = A2cAgent.from_snapshot(agent.snapshot())
     obs = np.array([0.3, 0.1, -0.5, 0.9])
-    assert clone.critic_value(obs) == agent.critic_value(obs)
+    assert value(clone.critic, obs) == value(agent.critic, obs)
     for wa, wb in zip(agent.actor.weights, clone.actor.weights):
         assert wa.tobytes() == wb.tobytes()
 
 
 def test_agent_validation():
+    # gamma and the learning rates are range-checked by validate_config
+    actor = FeedForwardNet([4, 3], zero_init=True, output_activation="softmax")
+    critic = FeedForwardNet([4, 1], zero_init=True)
+    with pytest.raises(ValueError, match="scalar output"):
+        A2cAgent(actor=actor, critic=FeedForwardNet([4, 2], zero_init=True))
+    with pytest.raises(ValueError, match="softmax"):
+        A2cAgent(actor=FeedForwardNet([4, 3], zero_init=True), critic=critic)
     with pytest.raises(ValueError):
-        make_agent(gamma=1.0)
+        FeedForwardNet([4], zero_init=True)
     with pytest.raises(ValueError):
-        make_agent(lr_actor=0.0)
-    with pytest.raises(ValueError):
-        make_agent(lr_critic=1.5)
+        FeedForwardNet([4, 3], output_activation="relu")

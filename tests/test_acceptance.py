@@ -17,6 +17,7 @@ from oransim.a2c import A2cAgent, FeedForwardNet, TransitionRecord
 from oransim.cli import main as cli_main
 from oransim.config import SimConfig, parse_config_file, parse_config_text
 from oransim.engine import run_batch
+from oransim.metrics import tail_summary
 from oransim.placement import dscd_reward_sample, relocation_ratio
 from oransim.ran import Cell, Ue
 from oransim.scheduler import (
@@ -32,7 +33,14 @@ from oransim.scheduler import (
 )
 from oransim.traffic import RlcQueue, make_flow
 
-from test_a2c import fd_gradient, flatten_grads, max_rel_error
+from test_a2c import (
+    applied_step,
+    expected_step,
+    max_rel_error,
+    pack_params,
+    td_error,
+    value,
+)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -52,36 +60,20 @@ def test_criterion_1_gradient_correctness():
     for seed in (11, 12, 13):
         agent = A2cAgent.build(obs_dim=6, n_actions=4, actor_hidden=10,
                                critic_hidden=8, rng_seed=seed)
-        assert agent.actor.num_params() <= 1000
-        assert agent.critic.num_params() <= 1000
+        assert pack_params(agent.actor).size <= 1000
+        assert pack_params(agent.critic).size <= 1000
         obs = rng.uniform(-1, 1, size=6)
         action = int(rng.integers(0, 4))
 
-        probs, cache = agent.actor.forward(obs)
-        grad_logits = -probs
-        grad_logits[action] += 1.0
-        analytic = flatten_grads(
-            agent.actor.backward_from_logits(cache, grad_logits))
-
-        def log_prob(net, x):
-            out, _ = net.forward(x)
-            return math.log(out[action])
-
-        worst = max(worst,
-                    max_rel_error(analytic, fd_gradient(agent.actor, obs,
-                                                        log_prob, step=1e-5)))
-
-        _, ccache = agent.critic.forward(obs)
-        c_analytic = flatten_grads(
-            agent.critic.backward_from_logits(ccache, np.array([1.0])))
-
-        def value(net, x):
-            out, _ = net.forward(x)
-            return float(out[0])
-
-        worst = max(worst,
-                    max_rel_error(c_analytic, fd_gradient(agent.critic, obs,
-                                                          value, step=1e-5)))
+        # the step `learn` applies to each net against lr * delta * grad by
+        # central differences; terminal, so delta = 1 - V(obs)
+        t = TransitionRecord(obs, action, 1.0, obs, terminal=True)
+        delta = td_error(agent, t)
+        want, _ = expected_step(agent, t, delta)
+        deltas, got = applied_step(agent, [t])
+        assert abs(deltas[0] - delta) <= 1e-12 * max(abs(delta), 1.0)
+        for g, w in zip(got, want):
+            worst = max(worst, max_rel_error(g, w))
     elapsed = time.monotonic() - start
     ok = worst < 1e-4 and elapsed < 5.0
     report(1, "gradient-correctness", ok,
@@ -104,12 +96,12 @@ def test_criterion_2_critic_bellman_oracle():
     updates = 0
     err = float("inf")
     while updates < 100_000:
-        agent.update_critic(TransitionRecord(s0, 0, r01, s1))
-        agent.update_critic(TransitionRecord(s1, 0, r10, s0))
+        agent.learn([TransitionRecord(s0, 0, r01, s1)])
+        agent.learn([TransitionRecord(s1, 0, r10, s0)])
         updates += 2
         if updates % 2000 == 0:
-            err = max(abs(agent.critic_value(s0) - v_star[0]),
-                      abs(agent.critic_value(s1) - v_star[1]))
+            err = max(abs(value(agent.critic, s0) - v_star[0]),
+                      abs(value(agent.critic, s1) - v_star[1]))
             if err < 1e-2:
                 break
     elapsed = time.monotonic() - start
@@ -290,18 +282,8 @@ def test_criterion_6_scheduler_learning_sanity():
 # --------------------------------------------------------------- criterion 7
 
 def batch_tail_stats(batch, cls):
-    tail = batch.tail_range()
-    pdrs, hols, thpts = [], [], []
-    for led in batch.ledgers:
-        p = led.pdr(cls, tail)
-        h = led.mean_hol_ms(cls, tail)
-        if p is not None:
-            pdrs.append(p)
-        if h is not None:
-            hols.append(h)
-        thpts.append(led.throughput_kbps(cls, tail))
-    mean = lambda xs: sum(xs) / len(xs) if xs else None
-    return mean(pdrs), mean(hols), mean(thpts)
+    m = tail_summary(batch.ledgers, batch.tail_range())[cls]
+    return m["pdr"], m["hol"], m["thpt"]
 
 
 def test_criterion_7_directional_claims():

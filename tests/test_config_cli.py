@@ -78,6 +78,25 @@ def test_urllc_density_envelope_enforced_unless_overridden():
         validate_config(bad, allow_out_of_envelope=True)
 
 
+@pytest.mark.parametrize("key, raw", [
+    ("sched.obs_buffer_cap_bits", "0"),
+    ("sched.obs_buffer_cap_bits", "-8"),
+    ("a2c.clip_norm", "-1"),
+    ("a2c.clip_norm", "0"),
+    ("a2c.gamma", "1.0"),
+    ("a2c.lr_actor", "0"),
+    ("a2c.lr_critic", "1.5"),
+    ("placement.epoch_ttis", "0"),
+    ("placement.cu_extra_delay_ttis", "-1"),
+    ("placement.tau", "-0.1"),
+])
+def test_out_of_range_value_rejected_with_key(key, raw):
+    cfg = parse_config_text(f"{key} = {raw}")
+    with pytest.raises(ConfigError) as err:
+        validate_config(cfg)
+    assert err.value.key == key
+
+
 def test_round_trip_identity_on_defaults():
     cfg = parse_config_text("")
     assert parse_config_text(emit_config(cfg)) == cfg
@@ -156,6 +175,15 @@ def test_out_of_envelope_exits_2_without_override(capsys, tmp_path):
     code, _, err = run_cli(capsys, "run", "--config", str(p))
     assert code == 2
     assert "urllc_density" in err
+
+
+def test_zero_obs_buffer_cap_exits_2(capsys, tmp_path):
+    p = tmp_path / "c.conf"
+    p.write_text("sim.n_cells = 2\nsim.ttis = 20\nsched.obs_buffer_cap_bits = 0\n")
+    code, _, err = run_cli(capsys, "run", "--config", str(p), "--out",
+                           str(tmp_path / "out"))
+    assert code == 2
+    assert "sched.obs_buffer_cap_bits" in err
 
 
 def small_conf(tmp_path, extra=""):

@@ -231,7 +231,7 @@ def test_pure_video_with_heavy_collisions_learns_cu_placement():
         cell = cell_by_id[i // 3]
         ue.serving_cell_id = cell.cell_id
         ue.position = (cell.position[0] + off, cell.position[1] + off)
-        assert int(compute_cqi(ue, cell, None, sim.channel_cfg)[0]) == 5
+        assert int(compute_cqi(ue, cell, None, cfg.ran)[0]) == 5
     led = sim.run()
     ratio = relocation_ratio(led.placement_events, tti_range=(1500, 3000))
     assert ratio[1] > 0.5

@@ -36,6 +36,20 @@ def make_agent(cfg, seed=0):
                           critic_hidden=8, rng_seed=seed)
 
 
+def spy_learn(agent):
+    """Record the transitions of each `agent.learn` call; returns the list
+    of calls."""
+    calls = []
+    learn = agent.learn
+
+    def spy(transitions):
+        calls.append(list(transitions))
+        return learn(transitions)
+
+    agent.learn = spy
+    return calls
+
+
 # ----------------------------------------------------------------- rewards
 
 def test_r1_above_mean():
@@ -148,18 +162,20 @@ def test_overflow_keeps_most_important_then_longest_hol():
 def test_all_queues_empty_leaves_all_rbgs_unassigned():
     cfg = SchedulerConfig(slot_count=2)
     agent = make_agent(cfg)
+    learned = spy_learn(agent)
     ues = [make_ue(0, 10), make_ue(1, 5)]
     queues = {0: RlcQueue(make_flow("video", 1.0)),
               1: RlcQueue(make_flow("ar", 1.0))}
     out = schedule_tti(agent, make_ctx(ues, queues), cfg,
                        np.random.default_rng(0))
     assert np.all(out.allocation == UNASSIGNED)
-    assert out.transitions == [] and out.rewards == []
+    assert learned == [[]]
 
 
 def test_single_backlogged_ue_gets_every_rbg():
     cfg = SchedulerConfig(slot_count=3)
     agent = make_agent(cfg)
+    learned = spy_learn(agent)
     ue = make_ue(0, 15, n_rbg=4)
     q = RlcQueue(make_flow("video", 1.0))
     for _ in range(10):  # demand far above one TTI of capacity
@@ -167,8 +183,9 @@ def test_single_backlogged_ue_gets_every_rbg():
     ctx = make_ctx([ue], {0: q}, n_rbg=4)
     out = schedule_tti(agent, ctx, cfg, np.random.default_rng(1))
     assert np.all(out.allocation == 0)
-    assert len(out.transitions) == 4
-    assert out.transitions[-1].terminal
+    [transitions] = learned
+    assert len(transitions) == 4
+    assert [t.terminal for t in transitions] == [False, False, False, True]
 
 
 def test_covered_demand_masks_remaining_rbgs():
@@ -200,6 +217,7 @@ def test_blocked_rbgs_stay_unassigned():
 def test_fully_blocked_cell_decides_and_learns_nothing():
     cfg = SchedulerConfig(slot_count=2)
     agent = make_agent(cfg, seed=4)
+    learned = spy_learn(agent)
     rng = np.random.default_rng(1)
     ue = make_ue(0, 15, n_rbg=3)
     q = RlcQueue(make_flow("ar", 1.0))
@@ -209,7 +227,7 @@ def test_fully_blocked_cell_decides_and_learns_nothing():
     out = schedule_tti(agent, make_ctx([ue], {0: q}, n_rbg=3, blocked=(0, 1, 2)),
                        cfg, rng)
     assert np.all(out.allocation == UNASSIGNED)
-    assert out.transitions == [] and out.rewards == [] and out.granted_bits == {}
+    assert learned == [] and out.granted_bits == {}
     assert agent.snapshot() == params and agent.update_count == 0
     assert rng.bit_generator.state == rng_state
 
@@ -230,6 +248,7 @@ def test_empty_queue_ue_never_assigned():
 def test_masking_disabled_wastes_rbgs_on_invalid_picks():
     cfg = SchedulerConfig(slot_count=4, masking=False)
     agent = make_agent(cfg, seed=7)
+    learned = spy_learn(agent)
     rng = np.random.default_rng(6)
     ue = make_ue(1, 12, n_rbg=8)
     q = RlcQueue(make_flow("video", 1.0))
@@ -238,8 +257,9 @@ def test_masking_disabled_wastes_rbgs_on_invalid_picks():
     out = schedule_tti(agent, make_ctx([ue], {1: q}, n_rbg=8), cfg, rng)
     # the near-uniform fresh policy picks empty slots ~3/4 of the time
     assert (out.allocation == UNASSIGNED).sum() > 0
-    assert len(out.transitions) == 8  # every RBG still offered
-    for alloc, tr in zip(out.allocation.tolist(), out.transitions):
+    [transitions] = learned
+    assert len(transitions) == 8  # every RBG still offered
+    for alloc, tr in zip(out.allocation.tolist(), transitions):
         if alloc == UNASSIGNED:
             assert tr.reward == 0.0
         else:
@@ -266,6 +286,7 @@ def test_training_disabled_leaves_agent_bitwise_identical():
 def test_rewards_in_range_and_aligned_with_transitions():
     cfg = SchedulerConfig(slot_count=3)
     agent = make_agent(cfg, seed=4)
+    learned = spy_learn(agent)
     rng = np.random.default_rng(11)
     ues = [make_ue(i, int(c), n_rbg=4) for i, c in enumerate((15, 8, 2))]
     queues = {}
@@ -275,10 +296,11 @@ def test_rewards_in_range_and_aligned_with_transitions():
             q.push(Packet(2000, arrival_tti=0, qci=q.flow.qci))
         queues[i] = q
     out = schedule_tti(agent, make_ctx(ues, queues, now=3, n_rbg=4), cfg, rng)
-    assert len(out.rewards) == len(out.transitions)
-    for r, tr in zip(out.rewards, out.transitions):
-        assert r in (0, 1, 2, 3)
-        assert tr.reward == r
+    [transitions] = learned
+    assert len(transitions) == np.count_nonzero(out.allocation != UNASSIGNED)
+    for alloc, tr in zip(out.allocation.tolist(), transitions):
+        assert tr.reward in (0.0, 1.0, 2.0, 3.0)
+        assert tr.action_index == [0, 1, 2].index(alloc)   # slot i holds UE i
 
 
 @settings(max_examples=30, deadline=None)
@@ -287,6 +309,7 @@ def test_schedule_deterministic_given_seed(seed):
     def run():
         cfg = SchedulerConfig(slot_count=3)
         agent = make_agent(cfg, seed=seed)
+        learned = spy_learn(agent)
         rng = np.random.default_rng(seed + 1)
         ues = [make_ue(i, 5 + i, n_rbg=3) for i in range(3)]
         queues = {}
@@ -296,7 +319,7 @@ def test_schedule_deterministic_given_seed(seed):
                 q.push(Packet(1500, arrival_tti=0, qci=q.flow.qci))
             queues[i] = q
         out = schedule_tti(agent, make_ctx(ues, queues, n_rbg=3), cfg, rng)
-        return out.allocation.tolist(), out.rewards
+        return out.allocation.tolist(), [t.reward for t in learned[0]]
 
     assert run() == run()
 

@@ -137,7 +137,7 @@ def test_serve_zero_budget_is_noop():
     q.push(Packet(1000, 0, 2))
     delivered, expired, consumed = q.serve(0, now_tti=1)
     assert (delivered, expired, consumed) == ([], [], 0)
-    assert q.head().remaining_bits == 1000
+    assert next(iter(q)).remaining_bits == 1000
 
 
 def test_partial_service_across_two_calls():
@@ -145,7 +145,7 @@ def test_partial_service_across_two_calls():
     q.push(Packet(1000, 0, 2))
     d1, _, c1 = q.serve(600, now_tti=1)
     assert d1 == [] and c1 == 600
-    assert q.head().remaining_bits == 400
+    assert next(iter(q)).remaining_bits == 400
     d2, _, c2 = q.serve(600, now_tti=2)
     assert len(d2) == 1 and c2 == 400  # 200 bits of budget left unused
 
