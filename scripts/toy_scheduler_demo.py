@@ -26,7 +26,7 @@ def main():
     agent = A2cAgent.build(cfg.obs_dim(), cfg.slot_count, actor_hidden=900,
                            critic_hidden=100, rng_seed=0)
     rng = np.random.default_rng(0)
-    cell = Cell(cell_id=0, position=(0.0, 0.0), n_rbg=2, du_id=0)
+    cell = Cell(cell_id=0, position=(0.0, 0.0), n_rbg=2)
     ue0 = Ue(0, (0.0, 0.0), 0, cqi_per_rbg=np.full(2, 15))
     ue1 = Ue(1, (0.0, 0.0), 0, cqi_per_rbg=np.full(2, 3))
     queues = {0: RlcQueue(make_flow("ar", 2_000_000.0)),

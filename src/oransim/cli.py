@@ -20,6 +20,7 @@ import time
 from . import __version__
 from .a2c import NumericsError
 from .config import (
+    MODES,
     ConfigError,
     SimConfig,
     emit_config,
@@ -28,14 +29,11 @@ from .config import (
     validate_config,
 )
 from .engine import run_batch
-from .metrics import CSV_HEADER
+from .metrics import CSV_HEADER, METRIC_COLUMNS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICS = 3
-
-COMPARE_METRICS = ("mean_hol_ms", "pdr", "throughput_kbps", "du_ratio",
-                   "cu_ratio")
 
 
 def _fingerprint(text):
@@ -147,7 +145,7 @@ def _read_aggregate(path):
     with open(path, newline="", encoding="utf-8") as fh:
         for raw in csv.DictReader(fh):
             row = dict(raw)
-            for col in COMPARE_METRICS:
+            for col in METRIC_COLUMNS:
                 row[col] = float(row[col]) if row.get(col) else None
             rows.append(row)
     manifest = None
@@ -161,7 +159,7 @@ def _read_aggregate(path):
 def _class_means(rows):
     out = {}
     for r in rows:
-        for metric in COMPARE_METRICS:
+        for metric in METRIC_COLUMNS:
             if r[metric] is not None:
                 out.setdefault((r["class"], metric), []).append(r[metric])
     return {k: sum(v) / len(v) for k, v in out.items()}
@@ -214,7 +212,7 @@ def build_parser():
 
     run_p = sub.add_parser("run", help="execute a batch of seeded runs")
     run_p.add_argument("--config", help="flat key-value config file")
-    run_p.add_argument("--mode", choices=("dscd", "nf-du", "nf-cu"))
+    run_p.add_argument("--mode", choices=MODES)
     run_p.add_argument("--seed", type=int)
     run_p.add_argument("--runs", type=int)
     run_p.add_argument("--ttis", type=int)

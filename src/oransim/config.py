@@ -8,7 +8,7 @@ placement reward weights tau = lambda = 0.5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .placement import PlacementConfig
 from .ran import RanConfig
@@ -16,6 +16,7 @@ from .scheduler import SchedulerConfig
 
 MODES = ("dscd", "nf-du", "nf-cu")
 SCENARIOS = ("fixed", "mobile")
+ACTION_MODES = ("auto", "sample", "greedy")
 
 URLLC_DENSITY_ENVELOPE = (0.1, 0.3)
 
@@ -86,53 +87,32 @@ def _parse_bool(v):
     raise ValueError(f"expected true/false, got {v!r}")
 
 
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool,
+            "str | None": _opt_str}
+_KEY_NAMES = {"lam": "lambda"}   # field name -> key name, where they differ
+
+# SimConfig fields that hold a section dataclass, in declaration order
+SECTIONS = tuple(f.name for f in fields(SimConfig)
+                 if f.default_factory is not MISSING)
+
+
+def _key_specs():
+    """One key per dataclass field: `sim.<field>` for SimConfig's scalars,
+    `<section>.<field>` for each section's; the parser follows the field's
+    annotation."""
+    specs = {}
+    for f in fields(SimConfig):
+        if f.name not in SECTIONS:
+            specs[f"sim.{f.name}"] = (None, f.name, _PARSERS[f.type])
+            continue
+        for g in fields(f.default_factory):
+            key = f"{f.name}.{_KEY_NAMES.get(g.name, g.name)}"
+            specs[key] = (f.name, g.name, _PARSERS[g.type])
+    return specs
+
+
 # key -> (section attr or None for top level, field name, parser)
-KEY_SPECS = {
-    "sim.seed": (None, "seed", int),
-    "sim.runs": (None, "runs", int),
-    "sim.ttis": (None, "ttis", int),
-    "sim.scenario": (None, "scenario", str),
-    "sim.mode": (None, "mode", str),
-    "sim.window_ttis": (None, "window_ttis", int),
-    "sim.n_cells": (None, "n_cells", int),
-    "sim.n_ues": (None, "n_ues", int),
-    "sim.n_rbg": (None, "n_rbg", int),
-    "sim.tti_ms": (None, "tti_ms", float),
-    "sim.urllc_density": (None, "urllc_density", float),
-    "sim.audit": (None, "audit", _parse_bool),
-    "ran.cell_spacing_m": ("ran", "cell_spacing_m", float),
-    "ran.path_loss_exponent": ("ran", "path_loss_exponent", float),
-    "ran.ref_distance_m": ("ran", "ref_distance_m", float),
-    "ran.near_snr_db": ("ran", "near_snr_db", float),
-    "ran.max_radius_m": ("ran", "max_radius_m", float),
-    "ran.shadow_sigma_db": ("ran", "shadow_sigma_db", float),
-    "ran.interference_cqi_penalty": ("ran", "interference_cqi_penalty", int),
-    "ran.vehicle_speed_mps": ("ran", "vehicle_speed_mps", float),
-    "traffic.ue_rate_bps": ("traffic", "ue_rate_bps", float),
-    "traffic.max_ue_rate_bps": ("traffic", "max_ue_rate_bps", float),
-    "traffic.packet_size_bits": ("traffic", "packet_size_bits", int),
-    "traffic.arrival_cap_events_per_tti":
-        ("traffic", "arrival_cap_events_per_tti", float),
-    "traffic.ar_share_nonvehicle": ("traffic", "ar_share_nonvehicle", float),
-    "sched.slot_count": ("sched", "slot_count", int),
-    "sched.obs_buffer_cap_bits": ("sched", "obs_buffer_cap_bits", int),
-    "sched.training": ("sched", "training", _parse_bool),
-    "sched.action_mode": ("sched", "action_mode", str),
-    "sched.masking": ("sched", "masking", _parse_bool),
-    "placement.epoch_ttis": ("placement", "epoch_ttis", int),
-    "placement.cu_extra_delay_ttis": ("placement", "cu_extra_delay_ttis", int),
-    "placement.tau": ("placement", "tau", float),
-    "placement.lambda": ("placement", "lam", float),
-    "placement.training": ("placement", "training", _parse_bool),
-    "placement.action_mode": ("placement", "action_mode", str),
-    "placement.pin": ("placement", "pin", _opt_str),
-    "a2c.gamma": ("a2c", "gamma", float),
-    "a2c.lr_actor": ("a2c", "lr_actor", float),
-    "a2c.lr_critic": ("a2c", "lr_critic", float),
-    "a2c.actor_hidden": ("a2c", "actor_hidden", int),
-    "a2c.critic_hidden": ("a2c", "critic_hidden", int),
-    "a2c.clip_norm": ("a2c", "clip_norm", float),
-}
+KEY_SPECS = _key_specs()
 
 
 def get_key(cfg: SimConfig, key):
@@ -162,9 +142,7 @@ def emit_config(cfg: SimConfig):
 
 def copy_config(base: SimConfig) -> SimConfig:
     """Independent copy (replace() alone would share the section objects)."""
-    return replace(base, ran=replace(base.ran), traffic=replace(base.traffic),
-                   sched=replace(base.sched), placement=replace(base.placement),
-                   a2c=replace(base.a2c))
+    return replace(base, **{s: replace(getattr(base, s)) for s in SECTIONS})
 
 
 def parse_config_text(text, base: SimConfig | None = None):
@@ -235,23 +213,37 @@ def validate_config(cfg: SimConfig, allow_out_of_envelope=False):
     require(0.0 <= cfg.traffic.ar_share_nonvehicle <= 1.0,
             "traffic.ar_share_nonvehicle must be in [0, 1]",
             "traffic.ar_share_nonvehicle")
+    require(cfg.traffic.arrival_cap_events_per_tti > 0.0,
+            "traffic.arrival_cap_events_per_tti must be > 0",
+            "traffic.arrival_cap_events_per_tti")
     require(cfg.ran.interference_cqi_penalty >= 0,
             "ran.interference_cqi_penalty must be >= 0",
             "ran.interference_cqi_penalty")
+    require(cfg.ran.cell_spacing_m > 0.0, "ran.cell_spacing_m must be > 0",
+            "ran.cell_spacing_m")
     require(cfg.ran.max_radius_m > cfg.ran.ref_distance_m > 0,
             "ran radii must satisfy 0 < ref_distance < max_radius",
             "ran.max_radius_m")
+    require(cfg.ran.path_loss_exponent > 0.0,
+            "ran.path_loss_exponent must be > 0", "ran.path_loss_exponent")
+    # the CQI map rises from CQI 1 at the far anchor to CQI 15 at the near one
+    far = cfg.ran.far_snr_db()
+    require(cfg.ran.near_snr_db > far,
+            f"ran.near_snr_db must be above the far anchor ({far} dB)",
+            "ran.near_snr_db")
+    require(cfg.ran.shadow_sigma_db >= 0.0, "ran.shadow_sigma_db must be >= 0",
+            "ran.shadow_sigma_db")
+    require(cfg.ran.vehicle_speed_mps >= 0.0,
+            "ran.vehicle_speed_mps must be >= 0", "ran.vehicle_speed_mps")
     require(cfg.sched.slot_count >= 1, "sched.slot_count must be >= 1",
             "sched.slot_count")
     require(cfg.sched.obs_buffer_cap_bits >= 1,
             "sched.obs_buffer_cap_bits must be >= 1",
             "sched.obs_buffer_cap_bits")
-    require(cfg.sched.action_mode in ("auto", "sample", "greedy"),
-            "sched.action_mode must be auto|sample|greedy",
-            "sched.action_mode")
-    require(cfg.placement.action_mode in ("auto", "sample", "greedy"),
-            "placement.action_mode must be auto|sample|greedy",
-            "placement.action_mode")
+    for section in ("sched", "placement"):
+        require(getattr(cfg, section).action_mode in ACTION_MODES,
+                f"{section}.action_mode must be {'|'.join(ACTION_MODES)}",
+                f"{section}.action_mode")
     require(cfg.placement.pin in (None, "du", "cu"),
             "placement.pin must be none|du|cu", "placement.pin")
     require(cfg.placement.epoch_ttis >= 1, "placement.epoch_ttis must be >= 1",

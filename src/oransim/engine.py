@@ -1,4 +1,4 @@
-"""The TTI loop: mobility -> arrivals -> placement epoch -> per-cell
+"""The TTI loop: mobility -> arrivals -> placement epoch -> CQI -> per cell:
 scheduling -> service -> expiry -> accounting.
 
 Each run owns one seed, forked into named RNG streams (topology,
@@ -34,7 +34,7 @@ from .ran import (
     step_mobility,
 )
 from .scheduler import CellTti, schedule_tti
-from .traffic import RlcQueue, class_of_qci, make_flow
+from .traffic import RlcQueue, make_flow
 
 # spawn keys for the named RNG streams
 _STREAMS = {"topology": 0, "channel": 1, "traffic": 2, "mobility": 3,
@@ -109,10 +109,10 @@ class Simulation:
 
         obs_dim = cfg.sched.obs_dim()
         self.sched_agents = {
-            cell.du_id: A2cAgent.build(
+            cell.cell_id: A2cAgent.build(
                 obs_dim, cfg.sched.slot_count, cfg.a2c.actor_hidden,
                 cfg.a2c.critic_hidden,
-                rng_seed=stream_seed(seed, "sched_init", cell.du_id),
+                rng_seed=stream_seed(seed, "sched_init", cell.cell_id),
                 gamma=cfg.a2c.gamma, lr_actor=cfg.a2c.lr_actor,
                 lr_critic=cfg.a2c.lr_critic, clip_norm=cfg.a2c.clip_norm)
             for cell in self.cells}
@@ -127,17 +127,12 @@ class Simulation:
                 gamma=cfg.a2c.gamma, lr_actor=cfg.a2c.lr_actor,
                 lr_critic=cfg.a2c.lr_critic, clip_norm=cfg.a2c.clip_norm)
         self.placement = PlacementController(
-            [c.du_id for c in self.cells], cfg.placement, agent,
+            len(self.cells), cfg.placement, agent,
             self.rng_placement, forced=forced, tti_ms=cfg.tti_ms)
 
         self.ledger = MetricsLedger(cfg.window_ttis, cfg.tti_ms)
         self.prev_allocations = {}
         self.interference_events = 0
-
-    # ------------------------------------------------------------- helpers
-
-    def _class_of(self, ue_id):
-        return class_of_qci(self.queues[ue_id].flow.qci)
 
     # ----------------------------------------------------------------- TTI
 
@@ -147,7 +142,7 @@ class Simulation:
 
         # mobility (vehicles only; fixed UEs have zero speed); serving
         # cells change only here, so the UEs are grouped by cell once
-        cell_ues = {cell.cell_id: [] for cell in self.cells}
+        cell_ues = [[] for _ in self.cells]
         for ue in self.ues:
             step_mobility(ue, tti_s, self.bounds, self.cells, self.rng_mobility)
             cell_ues[ue.serving_cell_id].append(ue)
@@ -158,81 +153,71 @@ class Simulation:
             fresh = q.generate_arrivals(t, self.rng_traffic, self.rate_scale)
             if fresh:
                 self.ledger.record_arrivals(
-                    t, self._class_of(ue.ue_id), len(fresh),
-                    sum(p.size_bits for p in fresh))
+                    t, q.flow.label, len(fresh), sum(p.size_bits for p in fresh))
 
         # placement epoch
         if self.placement.is_epoch_boundary(t):
-            events = self.placement.decide_epoch(t, {
-                cell.du_id: [self.queues[ue.ue_id]
-                             for ue in cell_ues[cell.cell_id]]
-                for cell in self.cells})
+            events = self.placement.decide_epoch(
+                t, [[self.queues[ue.ue_id] for ue in ues] for ues in cell_ues])
             self.ledger.record_placements(events)
 
         # channel state from last TTI's allocations
         view = build_interference_view(self.prev_allocations) \
             if self.prev_allocations else InterferenceView.empty()
         self.interference_events += view.collision_count()
-        cell_by_id = {c.cell_id: c for c in self.cells}
         for ue in self.ues:
             ue.cqi_per_rbg = compute_cqi(
-                ue, cell_by_id[ue.serving_cell_id], view, cfg.ran,
+                ue, self.cells[ue.serving_cell_id], view, cfg.ran,
                 self.rng_channel)
 
-        # per-cell scheduling; CU-placed cells coordinate in DU id order
+        # per cell, in id order: schedule (CU-placed cells coordinate in
+        # this order), serve the grants in UE id order, then expire. Every
+        # resolved packet scores a placement reward sample for the cell's
+        # DU: delivered in budget -> R3 1, delivered late or expired -> R3 0
         cu_group = set(self.placement.cu_dus())
         cu_taken = set()
         allocations = {}
-        grants = []   # (cell_id, ue_id, bits) in scheduling order
-        for cell in self.cells:
-            du = cell.du_id
+        for cell, ues in zip(self.cells, cell_ues):
+            c = cell.cell_id
+            extra = self.placement.age_offset_ms(c)
             ctx = CellTti(
-                cell=cell, ues=cell_ues[cell.cell_id],
-                queues=self.queues, now=t, tti_ms=cfg.tti_ms,
-                age_offset_ms=self.placement.age_offset_ms(du),
-                blocked_rbgs=set(cu_taken) if du in cu_group else set())
-            out = schedule_tti(self.sched_agents[du], ctx, cfg.sched,
+                cell=cell, ues=ues, queues=self.queues, now=t,
+                tti_ms=cfg.tti_ms, age_offset_ms=extra,
+                blocked_rbgs=set(cu_taken) if c in cu_group else set())
+            out = schedule_tti(self.sched_agents[c], ctx, cfg.sched,
                                self.rng_sched)
-            allocations[cell.cell_id] = out.allocation
-            if du in cu_group:
+            allocations[c] = out.allocation
+            if c in cu_group:
                 cu_taken.update(
                     int(r) for r in np.nonzero(out.allocation != UNASSIGNED)[0])
+
             for ue_id in sorted(out.granted_bits):
-                grants.append((cell.cell_id, ue_id, out.granted_bits[ue_id]))
+                q = self.queues[ue_id]
+                delivered, expired = q.serve(out.granted_bits[ue_id], t, extra)
+                cls = q.flow.label
+                urllc = 1 if q.flow.is_urllc else 0
+                budget = q.flow.delay_budget_ms
+                for p in delivered:
+                    age = p.age_ms(t, cfg.tti_ms) + extra
+                    if cfg.audit and age > budget:
+                        raise AuditError(
+                            f"TTI {t}: delivered packet over budget ({age} ms "
+                            f"against {budget} ms)")
+                    self.ledger.record_delivery(t, cls, p.size_bits, age)
+                if expired:
+                    self.ledger.record_drop(t, cls, len(expired),
+                                            sum(p.size_bits for p in expired))
+                self.placement.record_samples(c, [(urllc, 1)] * len(delivered)
+                                              + [(urllc, 0)] * len(expired))
 
-        # service; every resolved packet scores a placement reward sample:
-        # delivered in budget -> R3 1, delivered late or expired -> R3 0
-        for cell_id, ue_id, bits in grants:
-            du = cell_by_id[cell_id].du_id
-            extra = self.placement.age_offset_ms(du)
-            delivered, expired, _ = self.queues[ue_id].serve(bits, t, extra)
-            cls = self._class_of(ue_id)
-            urllc = 1 if self.queues[ue_id].flow.is_urllc else 0
-            budget = self.queues[ue_id].flow.delay_budget_ms
-            for p in delivered:
-                age = p.age_ms(t, cfg.tti_ms) + extra
-                if cfg.audit and age > budget:
-                    raise AuditError(
-                        f"TTI {t}: delivered packet over budget ({age} ms "
-                        f"against {budget} ms)")
-                self.ledger.record_delivery(t, cls, p.size_bits, age)
-            if expired:
-                self.ledger.record_drop(t, cls, len(expired),
-                                        sum(p.size_bits for p in expired))
-            self.placement.record_samples(
-                du, [(urllc, 1)] * len(delivered) + [(urllc, 0)] * len(expired))
-
-        # expiry
-        for ue in self.ues:
-            du = cell_by_id[ue.serving_cell_id].du_id
-            dropped = self.queues[ue.ue_id].drop_expired(
-                t, self.placement.age_offset_ms(du))
-            if dropped:
-                self.ledger.record_drop(t, self._class_of(ue.ue_id),
-                                        len(dropped),
-                                        sum(p.size_bits for p in dropped))
-                urllc = 1 if self.queues[ue.ue_id].flow.is_urllc else 0
-                self.placement.record_samples(du, [(urllc, 0)] * len(dropped))
+            for ue in ues:
+                q = self.queues[ue.ue_id]
+                dropped = q.drop_expired(t, extra)
+                if dropped:
+                    self.ledger.record_drop(t, q.flow.label, len(dropped),
+                                            sum(p.size_bits for p in dropped))
+                    urllc = 1 if q.flow.is_urllc else 0
+                    self.placement.record_samples(c, [(urllc, 0)] * len(dropped))
 
         self.prev_allocations = allocations
         if cfg.audit:
@@ -242,8 +227,8 @@ class Simulation:
         # conservation per class, in packets and in bits
         queued = {}
         queued_bits = {}
-        for ue_id, q in self.queues.items():
-            cls = self._class_of(ue_id)
+        for q in self.queues.values():
+            cls = q.flow.label
             queued[cls] = queued.get(cls, 0) + len(q)
             queued_bits[cls] = queued_bits.get(cls, 0) + q.queued_bits
         for cls, tot in self.ledger.totals.items():

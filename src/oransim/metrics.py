@@ -10,6 +10,7 @@ from .traffic import CLASS_ORDER
 
 CSV_HEADER = ("window_start_tti", "class", "mode", "mean_hol_ms", "pdr",
               "throughput_kbps", "du_ratio", "cu_ratio")
+METRIC_COLUMNS = CSV_HEADER[3:]   # the numeric, possibly absent, columns
 
 
 @dataclass
@@ -133,9 +134,8 @@ class MetricsLedger:
             return 0.0
         return s.delivered_bits / (duration_ttis * self.tti_ms)  # bits/ms == kbps
 
-    def du_cu_ratio(self, cls=None, tti_range=None):
-        return relocation_ratio(self.placement_events, class_weights_key=cls,
-                                tti_range=tti_range)
+    def du_cu_ratio(self, tti_range=None):
+        return relocation_ratio(self.placement_events, tti_range=tti_range)
 
     def state_dict(self):
         """Plain-data view used for exact run-equivalence comparisons."""
@@ -157,15 +157,14 @@ class MetricsLedger:
 def ledger_rows(ledger: MetricsLedger, mode):
     """Time-series rows in CSV column order, sorted by (window, class).
 
-    The du/cu columns carry the window's placement-count split (shared by
-    every class row); class-weighted ratios stay available through
-    MetricsLedger.du_cu_ratio.
+    The du/cu columns carry the window's placement-count split, shared by
+    every class row.
     """
     rows = []
     classes = ledger.classes()
     for w in ledger.window_ids():
         rng = (w * ledger.window_ttis, (w + 1) * ledger.window_ttis)
-        ratio = ledger.du_cu_ratio(None, rng)
+        ratio = ledger.du_cu_ratio(rng)
         for cls in classes:
             rows.append({
                 "window_start_tti": rng[0],
@@ -192,13 +191,11 @@ def aggregate_rows(all_rows):
                 order.append(key)
             by_key[key].append(r)
     out = []
-    metric_cols = ("mean_hol_ms", "pdr", "throughput_kbps", "du_ratio",
-                   "cu_ratio")
     for key in sorted(order):
         group = by_key[key]
         agg = {"window_start_tti": key[0], "class": key[1],
                "mode": group[0]["mode"]}
-        for col in metric_cols:
+        for col in METRIC_COLUMNS:
             vals = [r[col] for r in group if r[col] is not None]
             agg[col] = sum(vals) / len(vals) if vals else None
         out.append(agg)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .a2c import A2cAgent, TransitionRecord, resolve_mode, select_action
-from .traffic import CLASS_ORDER, class_of_qci
+from .traffic import CLASS_ORDER
 
 LOCATION_DU = 0
 LOCATION_CU = 1
@@ -61,7 +61,7 @@ def queue_mix(queues, now, tti_ms=1.0):
     urllc = 0
     bits = 0
     for q in queues:
-        name = class_of_qci(q.flow.qci)
+        name = q.flow.label
         for p in q:
             age = p.age_ms(now, tti_ms)
             counts[name] += 1
@@ -78,10 +78,11 @@ def queue_mix(queues, now, tti_ms=1.0):
     return shares, ratios, urllc_share, bits
 
 
-def build_placement_observation(queues, now, current_location, cu_fraction,
-                                tti_ms=1.0, depth_cap_bits=262_144):
-    """Fixed 7-feature vector describing one DU's traffic situation."""
-    shares, ratios, urllc_share, bits = queue_mix(queues, now, tti_ms)
+def build_placement_observation(mix, current_location, cu_fraction,
+                                depth_cap_bits=262_144):
+    """Fixed 7-feature vector describing one DU's traffic situation, from
+    the DU's `queue_mix`."""
+    _, ratios, urllc_share, bits = mix
     obs = np.zeros(N_PLACEMENT_FEATURES)
     obs[0] = urllc_share
     obs[1] = ratios["video"]
@@ -106,14 +107,15 @@ class PlacementEvent:
 class PlacementController:
     """Owns per-DU locations and the epoch decide/learn cycle.
 
+    DU i hosts the scheduler of cell i, so DUs are ids 0..n_dus-1.
     `forced` pins every DU to one location with no agent at all (the
     NF-DU / NF-CU baselines); `cfg.pin` keeps the agent running but
     overrides what is applied, which must reproduce a forced run exactly.
     """
 
-    def __init__(self, du_ids, cfg: PlacementConfig, agent: A2cAgent | None,
+    def __init__(self, n_dus, cfg: PlacementConfig, agent: A2cAgent | None,
                  rng, forced: int | None = None, tti_ms=1.0):
-        self.du_ids = sorted(du_ids)
+        self.du_ids = range(n_dus)
         self.cfg = cfg
         self.agent = agent
         self.rng = rng
@@ -122,13 +124,10 @@ class PlacementController:
         if forced is None and agent is None:
             raise ValueError("dynamic placement needs an agent")
         start = forced if forced is not None else LOCATION_DU
-        self.locations = {du: start for du in self.du_ids}
+        self.locations = [start] * n_dus
         # per DU: last epoch's decision, awaiting its reward and next obs
         self._open: dict[int, TransitionRecord] = {}
-        self._samples: dict[int, list] = {du: [] for du in self.du_ids}
-
-    def location(self, du_id):
-        return self.locations[du_id]
+        self._samples = [[] for _ in self.du_ids]
 
     def age_offset_ms(self, du_id):
         if self.locations[du_id] == LOCATION_CU:
@@ -149,19 +148,19 @@ class PlacementController:
     def decide_epoch(self, tti, du_queues):
         """Close out the last epoch, learn, and pick this epoch's locations.
 
-        `du_queues` maps each DU id to the RLC queues it schedules.
+        `du_queues[i]` lists the RLC queues DU i schedules.
         Returns the PlacementEvents for the ledger.
         """
         cu_fraction = len(self.cu_dus()) / len(self.du_ids)
         events = []
         for du in self.du_ids:
-            shares, _, urllc_share, _ = queue_mix(du_queues[du], tti, self.tti_ms)
+            mix = queue_mix(du_queues[du], tti, self.tti_ms)
+            shares, _, urllc_share, _ = mix
             if self.forced is not None:
                 applied = self.forced
             else:
                 obs = build_placement_observation(
-                    du_queues[du], tti, self.locations[du], cu_fraction,
-                    self.tti_ms)
+                    mix, self.locations[du], cu_fraction)
                 last = self._open.pop(du, None)
                 if last is not None and self.cfg.training:
                     last.reward = epoch_reward(
@@ -185,29 +184,23 @@ class PlacementController:
         return events
 
 
-def relocation_ratio(events, class_weights_key=None, urllc_threshold=None,
-                     tti_range=None):
+def relocation_ratio(events, urllc_threshold=None, tti_range=None):
     """DU/CU fractions over a set of placement events.
 
-    Optionally restrict to a [start, end) TTI range, weight by a traffic
-    class's queued share, or keep only URLLC-dominated events. Returns
-    (du_ratio, cu_ratio) or None when nothing qualifies.
+    Optionally restrict to a [start, end) TTI range, or keep only
+    URLLC-dominated events. Returns (du_ratio, cu_ratio) or None when
+    nothing qualifies.
     """
-    total = 0.0
-    at_du = 0.0
+    total = 0
+    at_du = 0
     for ev in events:
         if tti_range is not None and not (tti_range[0] <= ev.tti < tti_range[1]):
             continue
         if urllc_threshold is not None and ev.urllc_share <= urllc_threshold:
             continue
-        w = 1.0
-        if class_weights_key is not None:
-            w = ev.class_shares.get(class_weights_key, 0.0)
-        if w <= 0.0:
-            continue
-        total += w
+        total += 1
         if ev.location == LOCATION_DU:
-            at_du += w
-    if total == 0.0:
+            at_du += 1
+    if total == 0:
         return None
     return at_du / total, 1.0 - at_du / total

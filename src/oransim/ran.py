@@ -45,10 +45,10 @@ class RanConfig:
 
 @dataclass
 class Cell:
+    """One cell, served by the DU of the same id."""
     cell_id: int
     position: tuple[float, float]
     n_rbg: int
-    du_id: int
 
     def __post_init__(self):
         if self.n_rbg < 1:
@@ -191,7 +191,7 @@ def grid_topology(n_cells, spacing_m=500.0, n_rbg=8):
     cells = []
     for i in range(n_cells):
         r, c = divmod(i, cols)
-        cells.append(Cell(cell_id=i, n_rbg=n_rbg, du_id=i,
+        cells.append(Cell(cell_id=i, n_rbg=n_rbg,
                           position=(spacing_m / 2 + c * spacing_m,
                                     spacing_m / 2 + r * spacing_m)))
     bounds = ((0.0, 0.0), (cols * spacing_m, rows * spacing_m))

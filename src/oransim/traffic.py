@@ -16,12 +16,11 @@ URLLC_BUDGET_THRESHOLD_MS = 20.0
 @dataclass(frozen=True)
 class FlowSpec:
     qci: int
-    resource_type: str          # "GBR" | "NonGBR"
     priority: int               # lower number = more important
     delay_budget_ms: float
     mean_rate_bps: float
     packet_size_bits: int
-    label: str
+    label: str                  # the traffic class name
 
     def __post_init__(self):
         if self.delay_budget_ms <= 0:
@@ -34,14 +33,11 @@ class FlowSpec:
         return self.delay_budget_ms <= URLLC_BUDGET_THRESHOLD_MS
 
 
-# QCI table rows used by the scenarios: (qci, type, priority, budget, label)
+# QCI table rows used by the scenarios: class name -> (qci, priority, budget)
 TRAFFIC_CLASSES = {
-    "video": dict(qci=2, resource_type="GBR", priority=40,
-                  delay_budget_ms=150.0, label="video"),
-    "ar": dict(qci=80, resource_type="NonGBR", priority=68,
-               delay_budget_ms=10.0, label="ar"),
-    "v2x": dict(qci=75, resource_type="GBR", priority=25,
-                delay_budget_ms=20.0, label="v2x"),
+    "video": dict(qci=2, priority=40, delay_budget_ms=150.0),
+    "ar": dict(qci=80, priority=68, delay_budget_ms=10.0),
+    "v2x": dict(qci=75, priority=25, delay_budget_ms=20.0),
 }
 
 CLASS_ORDER = ("video", "ar", "v2x")
@@ -50,21 +46,13 @@ CLASS_ORDER = ("video", "ar", "v2x")
 def make_flow(class_name, mean_rate_bps, packet_size_bits=1000):
     spec = TRAFFIC_CLASSES[class_name]
     return FlowSpec(mean_rate_bps=mean_rate_bps,
-                    packet_size_bits=packet_size_bits, **spec)
-
-
-def class_of_qci(qci):
-    for name, spec in TRAFFIC_CLASSES.items():
-        if spec["qci"] == qci:
-            return name
-    raise KeyError(f"unknown QCI {qci}")
+                    packet_size_bits=packet_size_bits, label=class_name, **spec)
 
 
 @dataclass
 class Packet:
     size_bits: int
     arrival_tti: int
-    qci: int
     remaining_bits: int = field(default=-1)
 
     def __post_init__(self):
@@ -89,8 +77,6 @@ class RlcQueue:
         self.flow = flow
         self.tti_ms = tti_ms
         self._packets: deque[Packet] = deque()
-        self.arrived_packets = 0
-        self.arrived_bits = 0
         self._queued_bits = 0
         self._queued_remaining_bits = 0
 
@@ -120,8 +106,6 @@ class RlcQueue:
                 f"packet from TTI {packet.arrival_tti} behind the tail's "
                 f"TTI {self._packets[-1].arrival_tti}")
         self._packets.append(packet)
-        self.arrived_packets += 1
-        self.arrived_bits += packet.size_bits
         self._queued_bits += packet.size_bits
         self._queued_remaining_bits += packet.remaining_bits
 
@@ -132,8 +116,7 @@ class RlcQueue:
         if lam <= 0.0:
             return []
         n = int(rng.poisson(lam))
-        fresh = [Packet(self.flow.packet_size_bits, now_tti, self.flow.qci)
-                 for _ in range(n)]
+        fresh = [Packet(self.flow.packet_size_bits, now_tti) for _ in range(n)]
         for p in fresh:
             self.push(p)
         return fresh
@@ -162,11 +145,10 @@ class RlcQueue:
         Partial service decrements a packet's remaining bits. A packet
         that completes within its (effective) budget counts as delivered;
         one that completes late is removed but reported as expired.
-        Returns (delivered, expired, bits_consumed).
+        Returns (delivered, expired).
         """
         delivered = []
         expired = []
-        consumed = 0
         budget = int(budget_bits)
         if budget < 0:
             raise ValueError("negative service budget")
@@ -176,7 +158,6 @@ class RlcQueue:
             head.remaining_bits -= take
             self._queued_remaining_bits -= take
             budget -= take
-            consumed += take
             if head.remaining_bits == 0:
                 self._packets.popleft()
                 self._queued_bits -= head.size_bits
@@ -185,4 +166,4 @@ class RlcQueue:
                     delivered.append(head)
                 else:
                     expired.append(head)
-        return delivered, expired, consumed
+        return delivered, expired

@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from oransim.cli import main
 from oransim.config import (
+    KEY_SPECS,
     ConfigError,
     SimConfig,
     copy_config,
     emit_config,
     get_key,
+    parse_config_file,
     parse_config_text,
     set_key,
     validate_config,
@@ -89,6 +91,14 @@ def test_urllc_density_envelope_enforced_unless_overridden():
     ("placement.epoch_ttis", "0"),
     ("placement.cu_extra_delay_ttis", "-1"),
     ("placement.tau", "-0.1"),
+    ("ran.cell_spacing_m", "-100"),
+    ("ran.cell_spacing_m", "0"),
+    ("ran.path_loss_exponent", "0"),
+    ("ran.near_snr_db", "-120"),
+    ("ran.vehicle_speed_mps", "-14"),
+    ("ran.shadow_sigma_db", "-1"),
+    ("traffic.arrival_cap_events_per_tti", "0"),
+    ("traffic.arrival_cap_events_per_tti", "-5"),
 ])
 def test_out_of_range_value_rejected_with_key(key, raw):
     cfg = parse_config_text(f"{key} = {raw}")
@@ -184,6 +194,31 @@ def test_zero_obs_buffer_cap_exits_2(capsys, tmp_path):
                            str(tmp_path / "out"))
     assert code == 2
     assert "sched.obs_buffer_cap_bits" in err
+
+
+def test_negative_cell_spacing_exits_2(capsys, tmp_path):
+    p = tmp_path / "c.conf"
+    p.write_text("sim.n_cells = 2\nsim.n_ues = 6\nsim.ttis = 20\n"
+                 "sim.scenario = mobile\nran.cell_spacing_m = -100\n")
+    code, _, err = run_cli(capsys, "run", "--config", str(p), "--out",
+                           str(tmp_path / "out"))
+    assert code == 2
+    assert "ran.cell_spacing_m" in err
+
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as _fh:
+    WORKLOADS = [w["name"] for w in json.load(_fh)["workloads"]]
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_benchmark_workload_lists_every_key_once_and_validates(name):
+    path = os.path.join(ROOT, "perfbench", "workloads", f"{name}.conf")
+    with open(path, encoding="utf-8") as fh:
+        keys = [line.partition("=")[0].strip() for line in fh
+                if line.split("#", 1)[0].strip()]
+    assert keys == sorted(KEY_SPECS)
+    validate_config(parse_config_file(path))
 
 
 def small_conf(tmp_path, extra=""):

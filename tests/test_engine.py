@@ -69,7 +69,7 @@ def test_only_vehicles_move():
     sim = Simulation(cfg)
     speeds = {ue.ue_id: ue.speed_mps for ue in sim.ues}
     for ue in sim.ues:
-        is_vehicle = sim.queues[ue.ue_id].flow.qci == 75
+        is_vehicle = sim.queues[ue.ue_id].flow.label == "v2x"
         assert (speeds[ue.ue_id] > 0) == is_vehicle
 
 

@@ -61,9 +61,9 @@ def test_epoch_without_samples_earns_zero():
 def make_queues(now=10):
     qv = RlcQueue(make_flow("video", 1.0))
     qa = RlcQueue(make_flow("ar", 1.0))
-    qv.push(Packet(1000, arrival_tti=now - 30, qci=2))
-    qa.push(Packet(1000, arrival_tti=now - 2, qci=80))
-    qa.push(Packet(1000, arrival_tti=now, qci=80))
+    qv.push(Packet(1000, arrival_tti=now - 30))
+    qa.push(Packet(1000, arrival_tti=now - 2))
+    qa.push(Packet(1000, arrival_tti=now))
     return [qv, qa]
 
 
@@ -77,20 +77,21 @@ def test_queue_mix_counts_and_shares():
 
 
 def test_placement_observation_bounded_and_flagged():
-    obs = build_placement_observation(make_queues(), 10, LOCATION_DU, 0.5)
+    mix = queue_mix(make_queues(), now=10)
+    obs = build_placement_observation(mix, LOCATION_DU, 0.5)
     assert obs.shape == (7,)
     assert np.all(obs >= 0.0) and np.all(obs <= 1.0)
     assert obs[5] == 1.0
-    obs_cu = build_placement_observation(make_queues(), 10, LOCATION_CU, 0.5)
+    obs_cu = build_placement_observation(mix, LOCATION_CU, 0.5)
     assert obs_cu[5] == 0.0
 
 
 def test_age_offset_follows_location():
     cfg = PlacementConfig(cu_extra_delay_ttis=2)
-    ctrl = PlacementController([0], cfg, agent=None, rng=None,
+    ctrl = PlacementController(1, cfg, agent=None, rng=None,
                                forced=LOCATION_CU)
     assert ctrl.age_offset_ms(0) == 2.0
-    ctrl2 = PlacementController([0], cfg, agent=None, rng=None,
+    ctrl2 = PlacementController(1, cfg, agent=None, rng=None,
                                 forced=LOCATION_DU)
     assert ctrl2.age_offset_ms(0) == 0.0
 
@@ -117,13 +118,16 @@ def test_alternating_epochs_split_evenly():
     assert relocation_ratio(events) == (0.5, 0.5)
 
 
-def test_ratio_filters_by_class_weight_and_range():
-    events = [ev(0, 0, LOCATION_DU, shares={"ar": 1.0, "video": 0.0}),
-              ev(10, 0, LOCATION_CU, shares={"ar": 0.0, "video": 1.0})]
-    assert relocation_ratio(events, class_weights_key="ar") == (1.0, 0.0)
-    assert relocation_ratio(events, class_weights_key="video") == (0.0, 1.0)
+def test_ratio_filters_by_range_and_urllc_share():
+    events = [ev(0, 0, LOCATION_DU, urllc=0.8),
+              ev(10, 0, LOCATION_CU, urllc=0.2)]
+    assert relocation_ratio(events, tti_range=(0, 10)) == (1.0, 0.0)
     assert relocation_ratio(events, tti_range=(10, 20)) == (0.0, 1.0)
-    assert relocation_ratio(events, class_weights_key="v2x") is None
+    assert relocation_ratio(events, tti_range=(20, 30)) is None
+    assert relocation_ratio(events, urllc_threshold=0.5) == (1.0, 0.0)
+    assert relocation_ratio(events, urllc_threshold=0.8) is None
+    assert relocation_ratio(events, urllc_threshold=0.5,
+                            tti_range=(10, 20)) is None
 
 
 # --------------------------------------------------- simulation level checks
@@ -225,10 +229,9 @@ def test_pure_video_with_heavy_collisions_learns_cu_placement():
     cfg.ran.interference_cqi_penalty = 4
     cfg.ran.cell_spacing_m = 800.0
     sim = Simulation(cfg)
-    cell_by_id = {c.cell_id: c for c in sim.cells}
     off = 358.7 / math.sqrt(2.0)
     for i, ue in enumerate(sim.ues):
-        cell = cell_by_id[i // 3]
+        cell = sim.cells[i // 3]
         ue.serving_cell_id = cell.cell_id
         ue.position = (cell.position[0] + off, cell.position[1] + off)
         assert int(compute_cqi(ue, cell, None, cfg.ran)[0]) == 5

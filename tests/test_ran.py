@@ -23,7 +23,7 @@ from oransim.ran import (
 
 
 def make_cell(n_rbg=4, pos=(0.0, 0.0)):
-    return Cell(cell_id=0, position=pos, n_rbg=n_rbg, du_id=0)
+    return Cell(cell_id=0, position=pos, n_rbg=n_rbg)
 
 
 def make_ue(pos, cell_id=0):

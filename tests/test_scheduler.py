@@ -18,7 +18,7 @@ from oransim.traffic import Packet, RlcQueue, make_flow
 
 
 def toy_cell(n_rbg=2):
-    return Cell(cell_id=0, position=(0.0, 0.0), n_rbg=n_rbg, du_id=0)
+    return Cell(cell_id=0, position=(0.0, 0.0), n_rbg=n_rbg)
 
 
 def make_ue(ue_id, cqi, n_rbg=2):
@@ -113,7 +113,7 @@ def test_hol_at_budget_encodes_half():
     cfg = SchedulerConfig(slot_count=1)
     ue = make_ue(0, cqi=15)
     q = RlcQueue(make_flow("ar", 1.0))  # 10 ms budget
-    q.push(Packet(1000, arrival_tti=0, qci=80))
+    q.push(Packet(1000, arrival_tti=0))
     ctx = make_ctx([ue], {0: q}, now=10)
     slots = select_slot_ues(ctx, cfg)
     obs = build_observation(ctx, 0, slots, {0: 1000}, cfg)
@@ -129,7 +129,7 @@ def test_observation_features_bounded():
     for i, name in enumerate(("video", "ar", "v2x")):
         q = RlcQueue(make_flow(name, 1.0))
         for k in range(5):
-            q.push(Packet(90_000, arrival_tti=0, qci=q.flow.qci))
+            q.push(Packet(90_000, arrival_tti=0))
         queues[i] = q
     ctx = make_ctx(ues, queues, now=400)
     slots = select_slot_ues(ctx, cfg)
@@ -147,10 +147,10 @@ def test_overflow_keeps_most_important_then_longest_hol():
         2: RlcQueue(make_flow("v2x", 1.0)),    # priority 25 <- kept
         3: RlcQueue(make_flow("video", 1.0)),  # priority 40, older head
     }
-    queues[0].push(Packet(1000, arrival_tti=8, qci=2))
-    queues[1].push(Packet(1000, arrival_tti=0, qci=80))
-    queues[2].push(Packet(1000, arrival_tti=9, qci=75))
-    queues[3].push(Packet(1000, arrival_tti=2, qci=2))
+    queues[0].push(Packet(1000, arrival_tti=8))
+    queues[1].push(Packet(1000, arrival_tti=0))
+    queues[2].push(Packet(1000, arrival_tti=9))
+    queues[3].push(Packet(1000, arrival_tti=2))
     ctx = make_ctx(ues, queues, now=10)
     slots = select_slot_ues(ctx, cfg)
     # v2x (prio 25) and the older video queue win; slot order is by ue_id
@@ -179,7 +179,7 @@ def test_single_backlogged_ue_gets_every_rbg():
     ue = make_ue(0, 15, n_rbg=4)
     q = RlcQueue(make_flow("video", 1.0))
     for _ in range(10):  # demand far above one TTI of capacity
-        q.push(Packet(1000, arrival_tti=0, qci=2))
+        q.push(Packet(1000, arrival_tti=0))
     ctx = make_ctx([ue], {0: q}, n_rbg=4)
     out = schedule_tti(agent, ctx, cfg, np.random.default_rng(1))
     assert np.all(out.allocation == 0)
@@ -193,7 +193,7 @@ def test_covered_demand_masks_remaining_rbgs():
     agent = make_agent(cfg)
     ue = make_ue(0, 15, n_rbg=4)
     q = RlcQueue(make_flow("video", 1.0))
-    q.push(Packet(500, arrival_tti=0, qci=2))  # one RBG at CQI 15 covers it
+    q.push(Packet(500, arrival_tti=0))  # one RBG at CQI 15 covers it
     ctx = make_ctx([ue], {0: q}, n_rbg=4)
     out = schedule_tti(agent, ctx, cfg, np.random.default_rng(1))
     assert out.allocation[0] == 0
@@ -206,7 +206,7 @@ def test_blocked_rbgs_stay_unassigned():
     ue = make_ue(0, 15, n_rbg=4)
     q = RlcQueue(make_flow("video", 1.0))
     for _ in range(10):
-        q.push(Packet(1000, arrival_tti=0, qci=2))
+        q.push(Packet(1000, arrival_tti=0))
     ctx = make_ctx([ue], {0: q}, n_rbg=4, blocked=(0, 2))
     out = schedule_tti(agent, ctx, cfg, np.random.default_rng(1))
     assert out.allocation[0] == UNASSIGNED
@@ -222,7 +222,7 @@ def test_fully_blocked_cell_decides_and_learns_nothing():
     ue = make_ue(0, 15, n_rbg=3)
     q = RlcQueue(make_flow("ar", 1.0))
     for _ in range(10):
-        q.push(Packet(1000, arrival_tti=0, qci=q.flow.qci))
+        q.push(Packet(1000, arrival_tti=0))
     params, rng_state = agent.snapshot(), rng.bit_generator.state
     out = schedule_tti(agent, make_ctx([ue], {0: q}, n_rbg=3, blocked=(0, 1, 2)),
                        cfg, rng)
@@ -238,7 +238,7 @@ def test_empty_queue_ue_never_assigned():
     ues = [make_ue(i, 10, n_rbg=6) for i in range(3)]
     queues = {i: RlcQueue(make_flow("video", 1.0)) for i in range(3)}
     for _ in range(20):
-        queues[1].push(Packet(1000, arrival_tti=0, qci=2))
+        queues[1].push(Packet(1000, arrival_tti=0))
     ctx = make_ctx(ues, queues, n_rbg=6)
     out = schedule_tti(agent, ctx, cfg, np.random.default_rng(2))
     assigned = set(out.allocation.tolist()) - {UNASSIGNED}
@@ -253,7 +253,7 @@ def test_masking_disabled_wastes_rbgs_on_invalid_picks():
     ue = make_ue(1, 12, n_rbg=8)
     q = RlcQueue(make_flow("video", 1.0))
     for _ in range(20):
-        q.push(Packet(1000, arrival_tti=0, qci=2))
+        q.push(Packet(1000, arrival_tti=0))
     out = schedule_tti(agent, make_ctx([ue], {1: q}, n_rbg=8), cfg, rng)
     # the near-uniform fresh policy picks empty slots ~3/4 of the time
     assert (out.allocation == UNASSIGNED).sum() > 0
@@ -276,7 +276,7 @@ def test_training_disabled_leaves_agent_bitwise_identical():
               1: RlcQueue(make_flow("video", 1.0))}
     for i in (0, 1):
         for _ in range(5):
-            queues[i].push(Packet(1000, arrival_tti=0, qci=queues[i].flow.qci))
+            queues[i].push(Packet(1000, arrival_tti=0))
     schedule_tti(agent, make_ctx(ues, queues), cfg, np.random.default_rng(3))
     after = agent.actor.weights + agent.critic.weights
     for w, old in zip(after, before):
@@ -293,7 +293,7 @@ def test_rewards_in_range_and_aligned_with_transitions():
     for i, name in enumerate(("ar", "video", "v2x")):
         q = RlcQueue(make_flow(name, 1.0))
         for k in range(6):
-            q.push(Packet(2000, arrival_tti=0, qci=q.flow.qci))
+            q.push(Packet(2000, arrival_tti=0))
         queues[i] = q
     out = schedule_tti(agent, make_ctx(ues, queues, now=3, n_rbg=4), cfg, rng)
     [transitions] = learned
@@ -316,7 +316,7 @@ def test_schedule_deterministic_given_seed(seed):
         for i, name in enumerate(("ar", "video", "v2x")):
             q = RlcQueue(make_flow(name, 1.0))
             for k in range(4):
-                q.push(Packet(1500, arrival_tti=0, qci=q.flow.qci))
+                q.push(Packet(1500, arrival_tti=0))
             queues[i] = q
         out = schedule_tti(agent, make_ctx(ues, queues, n_rbg=3), cfg, rng)
         return out.allocation.tolist(), [t.reward for t in learned[0]]

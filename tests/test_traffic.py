@@ -8,7 +8,6 @@ from oransim.traffic import (
     FlowSpec,
     Packet,
     RlcQueue,
-    class_of_qci,
     make_flow,
 )
 
@@ -37,16 +36,18 @@ def test_urllc_classification_follows_budget():
     assert make_flow("v2x", 1.0).is_urllc
 
 
-def test_class_of_qci_round_trip():
+def test_flow_carries_its_class_name_and_qci():
     for name in CLASS_ORDER:
-        assert class_of_qci(TRAFFIC_CLASSES[name]["qci"]) == name
+        flow = make_flow(name, 1.0)
+        assert flow.label == name
+        assert flow.qci == TRAFFIC_CLASSES[name]["qci"]
     with pytest.raises(KeyError):
-        class_of_qci(99)
+        make_flow("unknown", 1.0)
 
 
 def test_flow_validation():
     with pytest.raises(ValueError):
-        FlowSpec(qci=1, resource_type="GBR", priority=1, delay_budget_ms=0.0,
+        FlowSpec(qci=1, priority=1, delay_budget_ms=0.0,
                  mean_rate_bps=1.0, packet_size_bits=100, label="x")
 
 
@@ -65,9 +66,10 @@ def test_long_run_arrival_rate_within_two_percent():
     q = queue_for(rate=rate)
     rng = np.random.default_rng(42)
     ttis = 100_000
+    arrived_bits = 0
     for t in range(ttis):
-        q.generate_arrivals(t, rng)
-    realized_bps = q.arrived_bits / (ttis * 1e-3)
+        arrived_bits += sum(p.size_bits for p in q.generate_arrivals(t, rng))
+    realized_bps = arrived_bits / (ttis * 1e-3)
     assert realized_bps == pytest.approx(rate, rel=0.02)
 
 
@@ -91,14 +93,14 @@ def test_drop_on_empty_queue():
 
 def test_packet_aged_exactly_budget_is_retained():
     q = queue_for("ar")  # 10 ms budget
-    q.push(Packet(1000, arrival_tti=0, qci=80))
+    q.push(Packet(1000, arrival_tti=0))
     assert q.drop_expired(now_tti=10) == []
     assert len(q) == 1
 
 
 def test_packet_one_tti_over_budget_is_dropped():
     q = queue_for("ar")
-    q.push(Packet(1000, arrival_tti=0, qci=80))
+    q.push(Packet(1000, arrival_tti=0))
     dropped = q.drop_expired(now_tti=11)
     assert len(dropped) == 1
     assert len(q) == 0
@@ -106,16 +108,16 @@ def test_packet_one_tti_over_budget_is_dropped():
 
 def test_drop_preserves_survivor_order():
     q = queue_for("ar")
-    q.push(Packet(1000, arrival_tti=0, qci=80))
-    q.push(Packet(1000, arrival_tti=5, qci=80))
-    q.push(Packet(1000, arrival_tti=6, qci=80))
+    q.push(Packet(1000, arrival_tti=0))
+    q.push(Packet(1000, arrival_tti=5))
+    q.push(Packet(1000, arrival_tti=6))
     q.drop_expired(now_tti=12)
     assert [p.arrival_tti for p in q] == [5, 6]
 
 
 def test_extra_delay_shifts_expiry():
     q = queue_for("ar")
-    q.push(Packet(1000, arrival_tti=0, qci=80))
+    q.push(Packet(1000, arrival_tti=0))
     assert q.drop_expired(now_tti=8, extra_ms=0.0) == []
     assert len(q.drop_expired(now_tti=8, extra_ms=3.0)) == 1  # 8 + 3 > 10
 
@@ -125,50 +127,52 @@ def test_extra_delay_shifts_expiry():
 def test_serve_with_ample_budget_empties_queue():
     q = queue_for("video")
     for t in range(3):
-        q.push(Packet(1000, arrival_tti=t, qci=2))
-    delivered, expired, consumed = q.serve(10_000, now_tti=5)
+        q.push(Packet(1000, arrival_tti=t))
+    delivered, expired = q.serve(10_000, now_tti=5)
     assert len(delivered) == 3 and not expired
-    assert consumed == 3000
-    assert len(q) == 0
+    assert sum(p.size_bits for p in delivered) == 3000
+    assert len(q) == 0 and q.queued_remaining_bits == 0
 
 
 def test_serve_zero_budget_is_noop():
     q = queue_for("video")
-    q.push(Packet(1000, 0, 2))
-    delivered, expired, consumed = q.serve(0, now_tti=1)
-    assert (delivered, expired, consumed) == ([], [], 0)
+    q.push(Packet(1000, 0))
+    delivered, expired = q.serve(0, now_tti=1)
+    assert (delivered, expired) == ([], [])
     assert next(iter(q)).remaining_bits == 1000
+    assert q.queued_remaining_bits == 1000
 
 
 def test_partial_service_across_two_calls():
     q = queue_for("video")
-    q.push(Packet(1000, 0, 2))
-    d1, _, c1 = q.serve(600, now_tti=1)
-    assert d1 == [] and c1 == 600
+    q.push(Packet(1000, 0))
+    d1, _ = q.serve(600, now_tti=1)
+    assert d1 == []
     assert next(iter(q)).remaining_bits == 400
-    d2, _, c2 = q.serve(600, now_tti=2)
-    assert len(d2) == 1 and c2 == 400  # 200 bits of budget left unused
+    assert q.queued_remaining_bits == 400
+    d2, _ = q.serve(600, now_tti=2)
+    assert len(d2) == 1 and len(q) == 0  # 200 bits of budget left unused
 
 
 def test_completion_after_budget_counts_expired_not_delivered():
     q = queue_for("ar")
-    q.push(Packet(1000, arrival_tti=0, qci=80))
-    delivered, expired, _ = q.serve(1000, now_tti=11)
+    q.push(Packet(1000, arrival_tti=0))
+    delivered, expired = q.serve(1000, now_tti=11)
     assert delivered == [] and len(expired) == 1
 
 
 def test_serve_respects_extra_delay_for_delivery():
     q = queue_for("ar")
-    q.push(Packet(1000, arrival_tti=0, qci=80))
-    delivered, expired, _ = q.serve(1000, now_tti=8, extra_ms=3.0)
+    q.push(Packet(1000, arrival_tti=0))
+    delivered, expired = q.serve(1000, now_tti=8, extra_ms=3.0)
     assert delivered == [] and len(expired) == 1  # 8 + 3 > 10
 
 
 def test_hol_delay_tracks_head_and_extra():
     q = queue_for("video")
     assert q.hol_delay_ms(50) == 0.0
-    q.push(Packet(1000, arrival_tti=10, qci=2))
-    q.push(Packet(1000, arrival_tti=40, qci=2))
+    q.push(Packet(1000, arrival_tti=10))
+    q.push(Packet(1000, arrival_tti=40))
     assert q.hol_delay_ms(50) == 40.0
     assert q.hol_delay_ms(50, extra_ms=2.0) == 42.0
     q.serve(1000, now_tti=50)
@@ -182,14 +186,14 @@ def test_hol_delay_tracks_head_and_extra():
 def test_packets_conserved_under_random_workload(seed):
     rng = np.random.default_rng(seed)
     q = queue_for("ar", rate=2_000_000.0)
-    delivered = dropped = 0
+    arrived = delivered = dropped = 0
     for t in range(300):
-        q.generate_arrivals(t, rng)
-        d, x, _ = q.serve(int(rng.integers(0, 4000)), t)
+        arrived += len(q.generate_arrivals(t, rng))
+        d, x = q.serve(int(rng.integers(0, 4000)), t)
         delivered += len(d)
         dropped += len(x)
         dropped += len(q.drop_expired(t))
-        assert q.arrived_packets == delivered + dropped + len(q)
+        assert arrived == delivered + dropped + len(q)
 
 
 @settings(max_examples=60, deadline=None)
@@ -199,7 +203,7 @@ def test_no_delivered_packet_over_budget(seed):
     q = queue_for("ar", rate=1_500_000.0)
     for t in range(200):
         q.generate_arrivals(t, rng)
-        delivered, _, _ = q.serve(int(rng.integers(0, 3000)), t)
+        delivered, _ = q.serve(int(rng.integers(0, 3000)), t)
         for p in delivered:
             assert p.age_ms(t) <= q.flow.delay_budget_ms
         q.drop_expired(t)
@@ -209,12 +213,11 @@ def test_no_delivered_packet_over_budget(seed):
 
 def test_push_rejects_packet_older_than_tail():
     q = queue_for("ar")
-    q.push(Packet(1000, arrival_tti=5, qci=80))
-    q.push(Packet(1000, arrival_tti=5, qci=80))   # equal TTIs are fine
+    q.push(Packet(1000, arrival_tti=5))
+    q.push(Packet(1000, arrival_tti=5))   # equal TTIs are fine
     with pytest.raises(ValueError):
-        q.push(Packet(1000, arrival_tti=4, qci=80))
+        q.push(Packet(1000, arrival_tti=4))
     assert len(q) == 2
-    assert q.arrived_packets == 2
     assert q.queued_bits == 2000
 
 
@@ -237,7 +240,7 @@ def test_running_counters_match_recomputed_sums(ops, tti_ms):
         if op[0] == "push":
             _, gap, size, remaining = op
             now += gap
-            q.push(Packet(size, arrival_tti=now, qci=80,
+            q.push(Packet(size, arrival_tti=now,
                           remaining_bits=min(remaining, size)))
         elif op[0] == "serve":
             _, gap, bits, extra = op
