@@ -14,8 +14,8 @@ import numpy as np
 from oransim.a2c import A2cAgent
 from oransim.ran import Cell, Ue
 from oransim.scheduler import (
-    CellTti, SchedulerConfig, build_observation, schedule_tti,
-    select_slot_ues,
+    CellTti, ObservationGrid, SchedulerConfig, build_observation,
+    schedule_tti, select_slot_ues,
 )
 from oransim.traffic import RlcQueue, make_flow
 
@@ -35,12 +35,12 @@ def main():
     probs = []
     for t in range(ttis):
         for q in queues.values():
-            q.generate_arrivals(t, rng)
+            q.generate_arrivals(t, rng.poisson(q.arrival_rate()))
         ctx = CellTti(cell=cell, ues=[ue0, ue1], queues=queues, now=t)
         if len(queues[0]) and len(queues[1]):
             slots = select_slot_ues(ctx, cfg)
             unc = {i: queues[i].queued_remaining_bits for i in queues}
-            obs = build_observation(ctx, 0, slots, unc, cfg)
+            obs = build_observation(ObservationGrid(ctx, slots, unc, cfg), 0)
             probs.append(float(agent.action_distribution(obs)[0]))
         out = schedule_tti(agent, ctx, cfg, rng)
         for ue_id, bits in out.granted_bits.items():

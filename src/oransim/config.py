@@ -8,6 +8,7 @@ placement reward weights tau = lambda = 0.5.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .placement import PlacementConfig
@@ -173,6 +174,11 @@ def validate_config(cfg: SimConfig, allow_out_of_envelope=False):
         if not cond:
             raise ConfigError(msg, key=key)
 
+    for key in KEY_SPECS:
+        value = get_key(cfg, key)
+        if isinstance(value, float):
+            require(math.isfinite(value), f"{key} must be finite, got {value}",
+                    key)
     require(cfg.ttis >= 0, f"sim.ttis must be >= 0, got {cfg.ttis}", "sim.ttis")
     require(cfg.runs >= 1, f"sim.runs must be >= 1, got {cfg.runs}", "sim.runs")
     for key in ("n_cells", "n_ues", "n_rbg", "window_ttis"):

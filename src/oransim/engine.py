@@ -29,6 +29,7 @@ from .ran import (
     UNASSIGNED,
     build_interference_view,
     compute_cqi,
+    cqi_vector,
     drop_ues,
     grid_topology,
     step_mobility,
@@ -102,8 +103,7 @@ class Simulation:
                 ue.speed_mps = cfg.ran.vehicle_speed_mps
 
         # network-wide arrival throttle ("traffic stream per TTI")
-        lam_total = sum(q.flow.mean_rate_bps * cfg.tti_ms / 1000.0
-                        / q.flow.packet_size_bits for q in self.queues.values())
+        lam_total = sum(q.arrival_rate() for q in self.queues.values())
         cap = cfg.traffic.arrival_cap_events_per_tti
         self.rate_scale = min(1.0, cap / lam_total) if lam_total > cap > 0 else 1.0
 
@@ -133,27 +133,86 @@ class Simulation:
         self.ledger = MetricsLedger(cfg.window_ttis, cfg.tti_ms)
         self.prev_allocations = {}
         self.interference_events = 0
+        self._base_cqi = None   # see _build_run_caches
 
     # ----------------------------------------------------------------- TTI
+
+    def _build_run_caches(self):
+        """What stays fixed for the whole run; built on the first step so
+        that setting up a Simulation costs nothing for it."""
+        self._vehicles = [ue for ue in self.ues if ue.mobile]
+        # a UE's base CQI changes only as it moves, or with every shadowing draw
+        self._changing_channel = (self.ues if self.cfg.ran.shadow_sigma_db > 0.0
+                                  else self._vehicles)
+        self._base_cqi = [0] * len(self.ues)
+        # per cell: (interfered RBGs, base CQI -> read-only CQI vector)
+        self._cqi_vectors = [(None, {}) for _ in self.cells]
+        self._arriving = [q for q in self.queues.values()
+                          if q.arrival_rate(self.rate_scale) > 0.0]
+        self._arrival_rates = np.array(
+            [q.arrival_rate(self.rate_scale) for q in self._arriving])
+
+    def _arrivals(self, t):
+        """One Poisson draw over the queues with a positive rate, in UE id
+        order: the stream is consumed as by one scalar draw per queue."""
+        if not self._arriving:
+            return
+        counts = self.rng_traffic.poisson(self._arrival_rates)
+        for i in np.flatnonzero(counts):
+            q = self._arriving[i]
+            fresh = q.generate_arrivals(t, int(counts[i]))
+            self.ledger.record_arrivals(
+                t, q.flow.label, len(fresh), sum(p.size_bits for p in fresh))
+
+    def _update_channel(self, cell_ues, refresh):
+        """Every UE's CQI vector from last TTI's allocations.
+
+        The base CQIs of the `refresh` UEs are recomputed, in UE id order;
+        the others keep theirs. Each cell's UEs of one base CQI then share
+        one read-only vector, with the penalty on the RBGs the cell
+        collided on; a cell keeps its vectors while those RBGs stay the
+        same.
+        """
+        cfg = self.cfg.ran
+        view = build_interference_view(self.prev_allocations) \
+            if self.prev_allocations else InterferenceView.empty()
+        self.interference_events += view.collision_count()
+        for ue in refresh:
+            self._base_cqi[ue.ue_id] = int(compute_cqi(
+                ue, self.cells[ue.serving_cell_id], None, cfg,
+                self.rng_channel)[0])
+        for cell, ues in zip(self.cells, cell_ues):
+            interfered = view.interfered_rbgs(cell.cell_id)
+            seen, vectors = self._cqi_vectors[cell.cell_id]
+            if interfered != seen:
+                vectors = {}
+                self._cqi_vectors[cell.cell_id] = (interfered, vectors)
+            for ue in ues:
+                base = self._base_cqi[ue.ue_id]
+                cqi = vectors.get(base)
+                if cqi is None:
+                    cqi = vectors[base] = cqi_vector(
+                        base, cell.n_rbg, interfered,
+                        cfg.interference_cqi_penalty)
+                    cqi.flags.writeable = False
+                ue.cqi_per_rbg = cqi
 
     def step(self, t):
         cfg = self.cfg
         tti_s = cfg.tti_ms / 1000.0
+        first = self._base_cqi is None
+        if first:
+            self._build_run_caches()
 
-        # mobility (vehicles only; fixed UEs have zero speed); serving
-        # cells change only here, so the UEs are grouped by cell once
+        # mobility: only vehicles move, and serving cells change only here,
+        # so the UEs are grouped by cell once
+        for ue in self._vehicles:
+            step_mobility(ue, tti_s, self.bounds, self.cells, self.rng_mobility)
         cell_ues = [[] for _ in self.cells]
         for ue in self.ues:
-            step_mobility(ue, tti_s, self.bounds, self.cells, self.rng_mobility)
             cell_ues[ue.serving_cell_id].append(ue)
 
-        # arrivals, in UE id order
-        for ue in self.ues:
-            q = self.queues[ue.ue_id]
-            fresh = q.generate_arrivals(t, self.rng_traffic, self.rate_scale)
-            if fresh:
-                self.ledger.record_arrivals(
-                    t, q.flow.label, len(fresh), sum(p.size_bits for p in fresh))
+        self._arrivals(t)
 
         # placement epoch
         if self.placement.is_epoch_boundary(t):
@@ -161,14 +220,10 @@ class Simulation:
                 t, [[self.queues[ue.ue_id] for ue in ues] for ues in cell_ues])
             self.ledger.record_placements(events)
 
-        # channel state from last TTI's allocations
-        view = build_interference_view(self.prev_allocations) \
-            if self.prev_allocations else InterferenceView.empty()
-        self.interference_events += view.collision_count()
-        for ue in self.ues:
-            ue.cqi_per_rbg = compute_cqi(
-                ue, self.cells[ue.serving_cell_id], view, cfg.ran,
-                self.rng_channel)
+        # channel state from last TTI's allocations; on the first step every
+        # UE's channel is new
+        self._update_channel(cell_ues,
+                             self.ues if first else self._changing_channel)
 
         # per cell, in id order: schedule (CU-placed cells coordinate in
         # this order), serve the grants in UE id order, then expire. Every

@@ -53,28 +53,34 @@ def epoch_reward(samples, location, tau, lam):
     return total / len(samples)
 
 
-def queue_mix(queues, now, tti_ms=1.0):
-    """Per-class packet shares and budget-pressure ratios for one DU."""
+def queue_shares(queues):
+    """Per-class packet shares and the URLLC share of one DU's queues."""
     counts = dict.fromkeys(CLASS_ORDER, 0)
-    ratio_sums = dict.fromkeys(CLASS_ORDER, 0.0)
-    total = 0
     urllc = 0
-    bits = 0
     for q in queues:
-        name = q.flow.label
-        for p in q:
-            age = p.age_ms(now, tti_ms)
-            counts[name] += 1
-            ratio_sums[name] += min(age / q.flow.delay_budget_ms, 2.0) / 2.0
-            total += 1
-            bits += p.size_bits
-            if q.flow.is_urllc:
-                urllc += 1
+        counts[q.flow.label] += len(q)
+        if q.flow.is_urllc:
+            urllc += len(q)
+    total = sum(counts.values())
     shares = {name: (counts[name] / total if total else 0.0)
               for name in CLASS_ORDER}
+    return shares, (urllc / total if total else 0.0)
+
+
+def queue_mix(queues, now, tti_ms=1.0):
+    """Per-class packet shares and budget-pressure ratios for one DU."""
+    shares, urllc_share = queue_shares(queues)
+    counts = dict.fromkeys(CLASS_ORDER, 0)
+    ratio_sums = dict.fromkeys(CLASS_ORDER, 0.0)
+    for q in queues:
+        name = q.flow.label
+        counts[name] += len(q)
+        for p in q:
+            age = p.age_ms(now, tti_ms)
+            ratio_sums[name] += min(age / q.flow.delay_budget_ms, 2.0) / 2.0
     ratios = {name: (ratio_sums[name] / counts[name] if counts[name] else 0.0)
               for name in CLASS_ORDER}
-    urllc_share = urllc / total if total else 0.0
+    bits = sum(q.queued_bits for q in queues)
     return shares, ratios, urllc_share, bits
 
 
@@ -154,11 +160,12 @@ class PlacementController:
         cu_fraction = len(self.cu_dus()) / len(self.du_ids)
         events = []
         for du in self.du_ids:
-            mix = queue_mix(du_queues[du], tti, self.tti_ms)
-            shares, _, urllc_share, _ = mix
             if self.forced is not None:
                 applied = self.forced
+                shares, urllc_share = queue_shares(du_queues[du])
             else:
+                mix = queue_mix(du_queues[du], tti, self.tti_ms)
+                shares, _, urllc_share, _ = mix
                 obs = build_placement_observation(
                     mix, self.locations[du], cu_fraction)
                 last = self._open.pop(du, None)

@@ -85,7 +85,8 @@ def compute_cqi(ue: Ue, cell: Cell, interference, cfg: RanConfig, rng=None):
 
     Base CQI comes from path loss at the UE's distance (plus shadowing
     when enabled); each RBG the serving cell collided on last TTI is
-    knocked down by the configured penalty, floored at CQI 1.
+    knocked down by the configured penalty, floored at CQI 1. Without an
+    interference view every RBG holds the base CQI.
     """
     if ue.serving_cell_id != cell.cell_id:
         raise ValueError(f"UE {ue.ue_id} is not served by cell {cell.cell_id}")
@@ -97,11 +98,20 @@ def compute_cqi(ue: Ue, cell: Cell, interference, cfg: RanConfig, rng=None):
     if cfg.shadow_sigma_db > 0.0 and rng is not None:
         snr += cfg.shadow_sigma_db * rng.standard_normal()
     base = snr_to_cqi(snr, cfg)
-    cqi = np.full(cell.n_rbg, base, dtype=int)
-    if interference is not None:
-        for rbg in interference.interfered_rbgs(cell.cell_id):
-            if rbg < cell.n_rbg:
-                cqi[rbg] = max(base - cfg.interference_cqi_penalty, CQI_MIN)
+    interfered = (interference.interfered_rbgs(cell.cell_id)
+                  if interference is not None else ())
+    return cqi_vector(base, cell.n_rbg, interfered,
+                      cfg.interference_cqi_penalty)
+
+
+def cqi_vector(base, n_rbg, interfered, penalty):
+    """`base` on every RBG, knocked down by `penalty` (floored at CQI 1) on
+    each of the `interfered` RBGs below n_rbg."""
+    cqi = np.empty(n_rbg, dtype=int)
+    cqi.fill(base)   # as np.full, at a third of its call overhead
+    for rbg in interfered:
+        if rbg < n_rbg:
+            cqi[rbg] = max(base - penalty, CQI_MIN)
     return cqi
 
 

@@ -103,24 +103,53 @@ def select_slot_ues(ctx: CellTti, cfg: SchedulerConfig):
     return slots
 
 
-def build_observation(ctx: CellTti, rbg, slot_ues, uncovered_bits, cfg):
-    """Feature grid for one RBG decision; all entries in [0, 1]."""
-    obs = np.zeros(cfg.obs_dim())
-    for i, ue in enumerate(slot_ues):
-        if ue is None:
-            continue
-        if uncovered_bits.get(ue.ue_id, 0) <= 0:
-            continue  # demand already covered this TTI: slot goes dark
-        q = ctx.queues[ue.ue_id]
-        flow = q.flow
-        hol = q.hol_delay_ms(ctx.now, ctx.age_offset_ms)
-        base = i * N_SLOT_FEATURES
-        obs[base + 0] = ue.cqi_per_rbg[rbg] / 15.0
-        obs[base + 1] = min(hol / flow.delay_budget_ms, 2.0) / 2.0
-        obs[base + 2] = 1.0 - flow.priority / 100.0
-        obs[base + 3] = 1.0 if flow.is_urllc else 0.0
-        obs[base + 4] = min(uncovered_bits[ue.ue_id] / cfg.obs_buffer_cap_bits, 1.0)
-    return obs
+class ObservationGrid:
+    """One cell's decision features for one TTI: a (slots x 5) grid.
+
+    The HoL, priority and URLLC columns hold for the whole TTI, column 0
+    takes the offered RBG's CQI from a (slots x n_rbg) CQI / 15 matrix,
+    and a grant changes only its slot's buffer feature and validity. A
+    slot without uncovered demand is dark: an all-zero row, masked out.
+    """
+
+    def __init__(self, ctx: CellTti, slot_ues, uncovered_bits, cfg):
+        self.buffer_cap_bits = cfg.obs_buffer_cap_bits
+        self.features = np.zeros((len(slot_ues), N_SLOT_FEATURES))
+        self.cqi = np.zeros((len(slot_ues), ctx.cell.n_rbg))
+        self.valid = np.zeros(len(slot_ues), dtype=bool)
+        for i, ue in enumerate(slot_ues):
+            if ue is None or uncovered_bits.get(ue.ue_id, 0) <= 0:
+                continue
+            q = ctx.queues[ue.ue_id]
+            flow = q.flow
+            hol = q.hol_delay_ms(ctx.now, ctx.age_offset_ms)
+            row = self.features[i]
+            row[1] = min(hol / flow.delay_budget_ms, 2.0) / 2.0
+            row[2] = 1.0 - flow.priority / 100.0
+            row[3] = 1.0 if flow.is_urllc else 0.0
+            row[4] = min(uncovered_bits[ue.ue_id] / self.buffer_cap_bits, 1.0)
+            self.cqi[i] = ue.cqi_per_rbg
+            self.valid[i] = True
+        self.cqi /= 15.0
+
+    def grant(self, slot, uncovered_bits):
+        """The slot's UE was granted an RBG and has `uncovered_bits` left."""
+        if uncovered_bits > 0:
+            self.features[slot, 4] = min(uncovered_bits / self.buffer_cap_bits,
+                                         1.0)
+            return
+        self.features[slot] = 0.0
+        self.cqi[slot] = 0.0
+        # a new mask: earlier transitions keep the one they were taken under
+        self.valid = self.valid.copy()
+        self.valid[slot] = False
+
+
+def build_observation(grid: ObservationGrid, rbg):
+    """Feature vector for one RBG decision; all entries in [0, 1]. A fresh
+    array each call: the decision's transition keeps it."""
+    grid.features[:, 0] = grid.cqi[:, rbg]
+    return grid.features.flatten()
 
 
 def schedule_tti(agent: A2cAgent, ctx: CellTti, cfg: SchedulerConfig, rng):
@@ -139,6 +168,7 @@ def schedule_tti(agent: A2cAgent, ctx: CellTti, cfg: SchedulerConfig, rng):
     slot_ues = select_slot_ues(ctx, cfg)
     uncovered = {ue.ue_id: ctx.queues[ue.ue_id].queued_remaining_bits
                  for ue in slot_ues if ue is not None}
+    grid = ObservationGrid(ctx, slot_ues, uncovered, cfg)
     granted = {}
     transitions = []
     mode = resolve_mode(cfg.action_mode, cfg.training)
@@ -146,11 +176,10 @@ def schedule_tti(agent: A2cAgent, ctx: CellTti, cfg: SchedulerConfig, rng):
     for rbg in range(n_rbg):
         if rbg in ctx.blocked_rbgs:
             continue
-        valid = np.array([ue is not None and uncovered.get(ue.ue_id, 0) > 0
-                          for ue in slot_ues])
+        valid = grid.valid
         if not valid.any():
             continue
-        obs = build_observation(ctx, rbg, slot_ues, uncovered, cfg)
+        obs = build_observation(grid, rbg)
         mask = valid if cfg.masking else None
         probs = agent.action_distribution(obs, mask)
         action = select_action(probs, mode, rng)
@@ -167,6 +196,7 @@ def schedule_tti(agent: A2cAgent, ctx: CellTti, cfg: SchedulerConfig, rng):
             cap = rbg_capacity(int(ue.cqi_per_rbg[rbg]))
             granted[ue.ue_id] = granted.get(ue.ue_id, 0) + cap
             uncovered[ue.ue_id] -= cap
+            grid.grant(action, uncovered[ue.ue_id])
         else:
             # only reachable with masking off: the RBG is wasted
             reward = 0

@@ -109,14 +109,15 @@ class RlcQueue:
         self._queued_bits += packet.size_bits
         self._queued_remaining_bits += packet.remaining_bits
 
-    def generate_arrivals(self, now_tti, rng, rate_scale=1.0):
-        """Poisson packet arrivals for this TTI at the flow's mean bit rate."""
-        lam = (self.flow.mean_rate_bps * self.tti_ms / 1000.0
-               / self.flow.packet_size_bits) * rate_scale
-        if lam <= 0.0:
-            return []
-        n = int(rng.poisson(lam))
-        fresh = [Packet(self.flow.packet_size_bits, now_tti) for _ in range(n)]
+    def arrival_rate(self, rate_scale=1.0):
+        """Mean packet arrivals per TTI at the flow's mean bit rate."""
+        return (self.flow.mean_rate_bps * self.tti_ms / 1000.0
+                / self.flow.packet_size_bits) * rate_scale
+
+    def generate_arrivals(self, now_tti, count):
+        """Queue `count` fresh packets, a Poisson draw at `arrival_rate`."""
+        fresh = [Packet(self.flow.packet_size_bits, now_tti)
+                 for _ in range(count)]
         for p in fresh:
             self.push(p)
         return fresh

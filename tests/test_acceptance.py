@@ -22,6 +22,7 @@ from oransim.placement import dscd_reward_sample, relocation_ratio
 from oransim.ran import Cell, Ue
 from oransim.scheduler import (
     CellTti,
+    ObservationGrid,
     SchedulerConfig,
     build_observation,
     reward_r1,
@@ -256,12 +257,12 @@ def test_criterion_6_scheduler_learning_sanity():
     probs = []
     for t in range(2000):
         for q in queues.values():
-            q.generate_arrivals(t, rng)
+            q.generate_arrivals(t, rng.poisson(q.arrival_rate()))
         ctx = CellTti(cell=cell, ues=[ue0, ue1], queues=queues, now=t)
         if len(queues[0]) and len(queues[1]):
             slots = select_slot_ues(ctx, cfg)
             unc = {i: queues[i].queued_remaining_bits for i in queues}
-            obs = build_observation(ctx, 0, slots, unc, cfg)
+            obs = build_observation(ObservationGrid(ctx, slots, unc, cfg), 0)
             probs.append(float(agent.action_distribution(obs)[0]))
         else:
             probs.append(float("nan"))

@@ -107,6 +107,20 @@ def test_out_of_range_value_rejected_with_key(key, raw):
     assert err.value.key == key
 
 
+FLOAT_KEYS = [key for key in sorted(KEY_SPECS)
+              if isinstance(get_key(SimConfig(), key), float)]
+
+
+@pytest.mark.parametrize("raw", ["inf", "-inf", "nan"])
+def test_non_finite_float_rejected_with_key_for_every_float_key(raw):
+    assert "ran.near_snr_db" in FLOAT_KEYS and "sim.tti_ms" in FLOAT_KEYS
+    for key in FLOAT_KEYS:
+        cfg = parse_config_text(f"{key} = {raw}")
+        with pytest.raises(ConfigError, match="finite") as err:
+            validate_config(cfg, allow_out_of_envelope=True)
+        assert err.value.key == key
+
+
 def test_round_trip_identity_on_defaults():
     cfg = parse_config_text("")
     assert parse_config_text(emit_config(cfg)) == cfg
@@ -204,6 +218,36 @@ def test_negative_cell_spacing_exits_2(capsys, tmp_path):
                            str(tmp_path / "out"))
     assert code == 2
     assert "ran.cell_spacing_m" in err
+
+
+@pytest.mark.parametrize("key", ["ran.near_snr_db", "sim.tti_ms",
+                                 "ran.cell_spacing_m", "ran.max_radius_m"])
+def test_infinite_value_exits_2_and_names_key(capsys, tmp_path, key):
+    p = tmp_path / "c.conf"
+    p.write_text("sim.n_cells = 2\nsim.n_ues = 6\nsim.ttis = 20\n"
+                 f"sim.scenario = mobile\n{key} = inf\n")
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(capsys, "run", "--config", str(p), "--out",
+                           str(out_dir))
+    assert code == 2
+    assert key in err
+    assert not (out_dir / "manifest.json").exists()
+
+
+def test_run_validates_the_config_once(capsys, tmp_path, monkeypatch):
+    import oransim.engine as engine_mod
+    calls = []
+    real = engine_mod.validate_config
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine_mod, "validate_config", counting)
+    code, _, _ = run_cli(capsys, "run", "--config", str(small_conf(tmp_path)),
+                         "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert len(calls) == 1
 
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")

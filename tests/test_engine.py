@@ -1,15 +1,18 @@
 import contextlib
+import copy
+import math
 import multiprocessing
 import os
 import signal
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from oransim import engine
 from oransim.a2c import NumericsError
 from oransim.cli import main as cli_main
-from oransim.config import SimConfig
+from oransim.config import MODES, SCENARIOS, SimConfig, validate_config
 from oransim.engine import (
     AuditError,
     Simulation,
@@ -20,6 +23,8 @@ from oransim.engine import (
 )
 from oransim.metrics import MetricsLedger, aggregate_rows, ledger_rows
 from oransim.placement import PlacementEvent, LOCATION_CU, LOCATION_DU
+from oransim.ran import build_interference_view, compute_cqi
+from oransim.traffic import RlcQueue
 
 
 def desk_config(**overrides):
@@ -103,6 +108,164 @@ def test_audit_holds_across_modes_and_scenarios():
         for scenario in ("fixed", "mobile"):
             cfg = desk_config(mode=mode, scenario=scenario, ttis=120)
             run_batch(cfg)  # cfg.audit defaults true; raises AuditError on breach
+
+
+# ------------------------------------------------------- per-TTI caches
+
+def small_agents(cfg):
+    cfg.a2c.actor_hidden = 16
+    cfg.a2c.critic_hidden = 8
+    return cfg
+
+
+@pytest.mark.parametrize("scenario", ["fixed", "mobile"])
+@pytest.mark.parametrize("penalty", [3, 8])
+@pytest.mark.parametrize("shadow_db", [0.0, 4.0])
+def test_every_cqi_equals_a_fresh_compute_cqi(scenario, penalty, shadow_db):
+    cfg = small_agents(desk_config(scenario=scenario, mode="nf-du", n_ues=12,
+                                   urllc_density=0.3, ttis=60))
+    cfg.ran.interference_cqi_penalty = penalty
+    cfg.ran.shadow_sigma_db = shadow_db
+    sim = Simulation(cfg)
+    for t in range(cfg.ttis):
+        view = build_interference_view(sim.prev_allocations)
+        channel = copy.deepcopy(sim.rng_channel)
+        sim.step(t)
+        # the oracle draws the channel stream once per UE, in UE id order
+        for ue in sim.ues:
+            fresh = compute_cqi(ue, sim.cells[ue.serving_cell_id], view,
+                                cfg.ran, channel)
+            assert ue.cqi_per_rbg.dtype == fresh.dtype
+            assert np.array_equal(ue.cqi_per_rbg, fresh), (t, ue.ue_id)
+            assert not ue.cqi_per_rbg.flags.writeable
+        assert channel.bit_generator.state == sim.rng_channel.bit_generator.state
+    assert sim.interference_events > 0
+    if shadow_db == 0.0:
+        untouched = named_stream(sim.run_seed, "channel")
+        assert sim.rng_channel.bit_generator.state == untouched.bit_generator.state
+
+
+@pytest.mark.parametrize("rate_bps", [256_000.0, 12_500_000.0])
+def test_arrival_draw_consumes_the_stream_as_per_queue_draws(
+        rate_bps, monkeypatch):
+    # lambda = 0.256 and 12.5 packets per TTI: both Poisson samplers
+    cfg = small_agents(desk_config(ttis=40, n_ues=10))
+    cfg.traffic.ue_rate_bps = cfg.traffic.max_ue_rate_bps = rate_bps
+    cfg.traffic.arrival_cap_events_per_tti = 1000.0
+    drawn = []
+    real = RlcQueue.generate_arrivals
+
+    def spy(q, now_tti, count):
+        drawn.append((now_tti, q, count))
+        return real(q, now_tti, count)
+
+    monkeypatch.setattr(RlcQueue, "generate_arrivals", spy)
+    sim = Simulation(cfg)
+    oracle = named_stream(sim.run_seed, "traffic")
+    queues = [sim.queues[ue.ue_id] for ue in sim.ues]
+    expected = []
+    for t in range(cfg.ttis):
+        sim.step(t)
+        for q in queues:
+            n = int(oracle.poisson(q.arrival_rate(sim.rate_scale)))
+            if n:
+                expected.append((t, q, n))
+    assert drawn == expected
+    assert oracle.random() == sim.rng_traffic.random()
+
+
+def test_static_ues_draw_nothing_and_never_move():
+    cfg = small_agents(desk_config(scenario="mobile", urllc_density=0.25,
+                                   n_ues=8, ttis=50))
+    sim = Simulation(cfg)
+    static = {ue.ue_id: (ue.position, ue.serving_cell_id)
+              for ue in sim.ues if not ue.mobile}
+    assert static and len(static) < len(sim.ues)
+    sim.run()
+    for ue in sim.ues:
+        if ue.ue_id in static:
+            assert (ue.position, ue.serving_cell_id) == static[ue.ue_id]
+    fixed = Simulation(small_agents(desk_config(ttis=50)))
+    fixed.run()
+    untouched = named_stream(fixed.run_seed, "mobility")
+    assert fixed.rng_mobility.bit_generator.state == untouched.bit_generator.state
+
+
+def test_setting_up_a_simulation_builds_no_run_cache():
+    sim = Simulation(small_agents(desk_config(ttis=5)))
+    assert sim._base_cqi is None
+    sim.step(0)
+    assert len(sim._base_cqi) == len(sim.ues)
+
+
+EDGE_CASES = [
+    # fewer UEs than cells, one RBG, one-TTI epochs, half-ms TTIs, and a
+    # run that ends inside a window
+    dict(n_cells=4, n_ues=2, n_rbg=1, epoch_ttis=1, tti_ms=0.5, ttis=13,
+         window_ttis=5, scenario="mobile", mode="dscd", shadow_db=4.0),
+    dict(n_cells=3, n_ues=7, n_rbg=1, epoch_ttis=1, tti_ms=0.5, ttis=17,
+         window_ttis=4, scenario="fixed", mode="nf-cu", shadow_db=0.0),
+    dict(n_cells=2, n_ues=1, n_rbg=3, epoch_ttis=2, tti_ms=1.0, ttis=9,
+         window_ttis=7, scenario="mobile", mode="nf-du", shadow_db=2.0),
+]
+
+
+def audited_config(p):
+    cfg = small_agents(SimConfig())
+    cfg.seed = p["seed"] if "seed" in p else 1
+    for key in ("n_cells", "n_ues", "n_rbg", "tti_ms", "ttis", "window_ttis",
+                "scenario", "mode"):
+        setattr(cfg, key, p[key])
+    cfg.urllc_density = p.get("urllc_density", 0.3)
+    cfg.sched.slot_count = p.get("slot_count", 3)
+    cfg.placement.epoch_ttis = p["epoch_ttis"]
+    cfg.placement.cu_extra_delay_ttis = p.get("cu_delay_ttis", 2)
+    cfg.ran.shadow_sigma_db = p["shadow_db"]
+    cfg.ran.interference_cqi_penalty = p.get("penalty", 3)
+    cfg.traffic.max_ue_rate_bps = 4_000_000.0
+    cfg.traffic.ue_rate_bps = p.get("rate_bps", 1_000_000.0)
+    return validate_config(cfg, allow_out_of_envelope=True)
+
+
+small_runs = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**31 - 1),
+    "n_cells": st.integers(1, 4),
+    "n_ues": st.integers(1, 8),
+    "n_rbg": st.integers(1, 4),
+    "tti_ms": st.sampled_from([0.5, 1.0, 2.0]),
+    "ttis": st.integers(1, 40),
+    "window_ttis": st.integers(1, 12),
+    "scenario": st.sampled_from(SCENARIOS),
+    "mode": st.sampled_from(MODES),
+    "epoch_ttis": st.integers(1, 6),
+    "shadow_db": st.sampled_from([0.0, 4.0]),
+    "urllc_density": st.sampled_from([0.0, 0.3, 1.0]),
+    "slot_count": st.integers(1, 4),
+    "cu_delay_ttis": st.integers(0, 3),
+    "penalty": st.integers(0, 8),
+    "rate_bps": st.sampled_from([0.0, 256_000.0, 4_000_000.0]),
+})
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_runs)
+@example(EDGE_CASES[0])
+@example(EDGE_CASES[1])
+@example(EDGE_CASES[2])
+def test_random_small_configs_pass_the_audit_and_conserve_packets(p):
+    cfg = audited_config(p)
+    assert cfg.audit
+    sim = Simulation(cfg)
+    led = sim.run()   # the per-TTI audit raises AuditError on any breach
+    queued = {}
+    for q in sim.queues.values():
+        queued[q.flow.label] = queued.get(q.flow.label, 0) + len(q)
+    assert {cls for cls, n in queued.items() if n} <= set(led.totals)
+    for cls, tot in led.totals.items():
+        assert tot.arrived_packets == (tot.delivered_packets
+                                       + tot.dropped_packets + queued[cls])
+    epochs = math.ceil(cfg.ttis / cfg.placement.epoch_ttis)
+    assert len(led.placement_events) == epochs * cfg.n_cells
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from oransim.config import SimConfig
 from oransim.engine import Simulation, run_batch
@@ -16,10 +16,11 @@ from oransim.placement import (
     dscd_reward_sample,
     epoch_reward,
     queue_mix,
+    queue_shares,
     relocation_ratio,
 )
 from oransim.ran import compute_cqi
-from oransim.traffic import Packet, RlcQueue, make_flow
+from oransim.traffic import CLASS_ORDER, Packet, RlcQueue, make_flow
 
 
 # ------------------------------------------------------------------ reward
@@ -74,6 +75,64 @@ def test_queue_mix_counts_and_shares():
     assert urllc_share == pytest.approx(2 / 3)
     assert bits == 3000
     assert ratios["video"] == pytest.approx(min(30 / 150, 2) / 2)
+
+
+def oracle_queue_mix(queues, now, tti_ms=1.0):
+    """The mix counted packet by packet: the reference for queue_mix and
+    queue_shares."""
+    counts = dict.fromkeys(CLASS_ORDER, 0)
+    ratio_sums = dict.fromkeys(CLASS_ORDER, 0.0)
+    total = urllc = bits = 0
+    for q in queues:
+        name = q.flow.label
+        for p in q:
+            age = p.age_ms(now, tti_ms)
+            counts[name] += 1
+            ratio_sums[name] += min(age / q.flow.delay_budget_ms, 2.0) / 2.0
+            total += 1
+            bits += p.size_bits
+            if q.flow.is_urllc:
+                urllc += 1
+    shares = {name: (counts[name] / total if total else 0.0)
+              for name in CLASS_ORDER}
+    ratios = {name: (ratio_sums[name] / counts[name] if counts[name] else 0.0)
+              for name in CLASS_ORDER}
+    return shares, ratios, (urllc / total if total else 0.0), bits
+
+
+random_queues = st.lists(st.tuples(
+    st.sampled_from(CLASS_ORDER),
+    st.lists(st.tuples(st.integers(0, 400), st.integers(1, 4000)),
+             max_size=6)), max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_queues, st.sampled_from([0.5, 1.0]))
+def test_queue_shares_and_mix_equal_the_per_packet_count(spec, tti_ms):
+    now = 400
+    queues = []
+    for name, packets in spec:
+        q = RlcQueue(make_flow(name, 1.0), tti_ms)
+        for arrival, size in sorted(packets):
+            q.push(Packet(size, arrival))
+        q.serve(1500, now)   # may leave a partly served head
+        queues.append(q)
+    expected = oracle_queue_mix(queues, now, tti_ms)
+    assert queue_mix(queues, now, tti_ms) == expected
+    shares, urllc_share = queue_shares(queues)
+    assert (shares, urllc_share) == (expected[0], expected[2])
+
+
+def test_forced_epoch_events_carry_the_queue_mix_shares():
+    queues = make_queues()
+    ctrl = PlacementController(2, PlacementConfig(), agent=None, rng=None,
+                               forced=LOCATION_CU)
+    events = ctrl.decide_epoch(10, [queues, queues[:1]])
+    for event, du_queues in zip(events, [queues, queues[:1]]):
+        shares, _, urllc_share, _ = queue_mix(du_queues, 10)
+        assert event.class_shares == shares
+        assert event.urllc_share == urllc_share
+        assert event.location == LOCATION_CU
 
 
 def test_placement_observation_bounded_and_flagged():

@@ -2,9 +2,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from oransim.a2c import A2cAgent
-from oransim.ran import UNASSIGNED, Cell, Ue
+from oransim.ran import UNASSIGNED, Cell, Ue, rbg_capacity
 from oransim.scheduler import (
     CellTti,
+    ObservationGrid,
     SchedulerConfig,
     build_observation,
     reward_r1,
@@ -14,7 +15,7 @@ from oransim.scheduler import (
     scheduler_reward,
     select_slot_ues,
 )
-from oransim.traffic import Packet, RlcQueue, make_flow
+from oransim.traffic import CLASS_ORDER, Packet, RlcQueue, make_flow
 
 
 def toy_cell(n_rbg=2):
@@ -105,7 +106,7 @@ def test_empty_queue_slot_is_zero_filled():
     ctx = make_ctx([ue], {0: q})
     slots = select_slot_ues(ctx, cfg)
     assert slots == [None, None]  # empty queue: not backlogged at all
-    obs = build_observation(ctx, 0, slots, {}, cfg)
+    obs = build_observation(ObservationGrid(ctx, slots, {}, cfg), 0)
     assert np.all(obs == 0.0)
 
 
@@ -116,7 +117,7 @@ def test_hol_at_budget_encodes_half():
     q.push(Packet(1000, arrival_tti=0))
     ctx = make_ctx([ue], {0: q}, now=10)
     slots = select_slot_ues(ctx, cfg)
-    obs = build_observation(ctx, 0, slots, {0: 1000}, cfg)
+    obs = build_observation(ObservationGrid(ctx, slots, {0: 1000}, cfg), 0)
     assert obs[0] == 1.0            # CQI 15 -> 1.0
     assert obs[1] == 0.5            # HoL == budget -> ratio 1 of cap 2
     assert obs[3] == 1.0            # URLLC flag
@@ -134,8 +135,78 @@ def test_observation_features_bounded():
     ctx = make_ctx(ues, queues, now=400)
     slots = select_slot_ues(ctx, cfg)
     uncovered = {i: queues[i].queued_remaining_bits for i in queues}
-    obs = build_observation(ctx, 1, slots, uncovered, cfg)
+    obs = build_observation(ObservationGrid(ctx, slots, uncovered, cfg), 1)
     assert np.all(obs >= 0.0) and np.all(obs <= 1.0)
+
+
+def oracle_observation(ctx, rbg, slot_ues, uncovered_bits, cfg):
+    """The observation built slot by slot for each decision: the reference
+    that the per-TTI grid must reproduce bit for bit."""
+    obs = np.zeros(cfg.obs_dim())
+    for i, ue in enumerate(slot_ues):
+        if ue is None:
+            continue
+        if uncovered_bits.get(ue.ue_id, 0) <= 0:
+            continue
+        q = ctx.queues[ue.ue_id]
+        flow = q.flow
+        hol = q.hol_delay_ms(ctx.now, ctx.age_offset_ms)
+        base = i * 5
+        obs[base + 0] = ue.cqi_per_rbg[rbg] / 15.0
+        obs[base + 1] = min(hol / flow.delay_budget_ms, 2.0) / 2.0
+        obs[base + 2] = 1.0 - flow.priority / 100.0
+        obs[base + 3] = 1.0 if flow.is_urllc else 0.0
+        obs[base + 4] = min(uncovered_bits[ue.ue_id] / cfg.obs_buffer_cap_bits,
+                            1.0)
+    return obs
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_grid_observations_equal_the_per_slot_build(data):
+    draw = data.draw
+    n_rbg = draw(st.integers(1, 5))
+    cfg = SchedulerConfig(slot_count=draw(st.integers(1, 5)),
+                          obs_buffer_cap_bits=draw(st.sampled_from([900, 65536])))
+    now = draw(st.integers(0, 300))
+    tti_ms = draw(st.sampled_from([0.5, 1.0]))
+    ues, queues = [], {}
+    for i in range(draw(st.integers(0, 7))):
+        cqis = draw(st.lists(st.integers(1, 15), min_size=n_rbg, max_size=n_rbg))
+        ues.append(Ue(i, (0.0, 0.0), 0, cqi_per_rbg=np.array(cqis)))
+        q = RlcQueue(make_flow(draw(st.sampled_from(CLASS_ORDER)), 1.0), tti_ms)
+        for arrival in sorted(draw(st.lists(st.integers(0, now), max_size=4))):
+            q.push(Packet(draw(st.integers(1, 3000)), arrival))
+        queues[i] = q
+    ctx = CellTti(cell=toy_cell(n_rbg), ues=ues, queues=queues, now=now,
+                  tti_ms=tti_ms, age_offset_ms=draw(st.sampled_from([0.0, 2.0])),
+                  blocked_rbgs=draw(st.sets(st.integers(0, n_rbg - 1))))
+    slots = select_slot_ues(ctx, cfg)
+    uncovered = {ue.ue_id: queues[ue.ue_id].queued_remaining_bits
+                 for ue in slots if ue is not None}
+    grid = ObservationGrid(ctx, slots, uncovered, cfg)
+    handed_out = []
+    for rbg in range(n_rbg):
+        if rbg in ctx.blocked_rbgs:
+            continue
+        obs = build_observation(grid, rbg)
+        expected = oracle_observation(ctx, rbg, slots, uncovered, cfg)
+        assert obs.tobytes() == expected.tobytes()
+        valid = [ue is not None and uncovered.get(ue.ue_id, 0) > 0
+                 for ue in slots]
+        assert grid.valid.tolist() == valid
+        handed_out.append((obs, obs.copy(), grid.valid, grid.valid.copy()))
+        if any(valid):
+            # grant one RBG to a random valid slot: often a partial grant
+            slot = draw(st.sampled_from(
+                [i for i, ok in enumerate(valid) if ok]))
+            ue = slots[slot]
+            uncovered[ue.ue_id] -= rbg_capacity(int(ue.cqi_per_rbg[rbg]))
+            grid.grant(slot, uncovered[ue.ue_id])
+    # every decision kept its own observation and the mask it was taken under
+    for obs, obs_then, mask, mask_then in handed_out:
+        assert obs.tobytes() == obs_then.tobytes()
+        assert mask.tolist() == mask_then.tolist()
 
 
 def test_overflow_keeps_most_important_then_longest_hol():
@@ -336,13 +407,13 @@ def test_two_ue_toy_learns_to_prefer_urllc():
     queues = {0: q0, 1: q1}
     probs = []
     for t in range(500):
-        q0.generate_arrivals(t, rng)
-        q1.generate_arrivals(t, rng)
+        q0.generate_arrivals(t, rng.poisson(q0.arrival_rate()))
+        q1.generate_arrivals(t, rng.poisson(q1.arrival_rate()))
         ctx = make_ctx([ue0, ue1], queues, now=t)
         if len(q0) and len(q1):
             slots = select_slot_ues(ctx, cfg)
             unc = {i: queues[i].queued_remaining_bits for i in queues}
-            obs = build_observation(ctx, 0, slots, unc, cfg)
+            obs = build_observation(ObservationGrid(ctx, slots, unc, cfg), 0)
             probs.append(agent.action_distribution(obs)[0])
         out = schedule_tti(agent, ctx, cfg, rng)
         for ue_id, bits in out.granted_bits.items():

@@ -53,11 +53,17 @@ def test_flow_validation():
 
 # ----------------------------------------------------------------- arrivals
 
+def arrive(q, t, rng):
+    """One TTI's arrivals, drawn at the queue's arrival rate."""
+    return q.generate_arrivals(t, rng.poisson(q.arrival_rate()))
+
+
 def test_zero_rate_never_generates():
     q = queue_for(rate=0.0)
     rng = np.random.default_rng(0)
+    assert q.arrival_rate() == 0.0
     for t in range(1000):
-        assert q.generate_arrivals(t, rng) == []
+        assert arrive(q, t, rng) == []
     assert len(q) == 0
 
 
@@ -68,9 +74,31 @@ def test_long_run_arrival_rate_within_two_percent():
     ttis = 100_000
     arrived_bits = 0
     for t in range(ttis):
-        arrived_bits += sum(p.size_bits for p in q.generate_arrivals(t, rng))
+        arrived_bits += sum(p.size_bits for p in arrive(q, t, rng))
     realized_bps = arrived_bits / (ttis * 1e-3)
     assert realized_bps == pytest.approx(rate, rel=0.02)
+
+
+@pytest.mark.parametrize("lams", [[0.256] * 7, [12.5] * 3,
+                                  [0.256, 12.5, 1e-3, 3.0, 40.0, 9.99, 10.0]])
+def test_one_vector_draw_equals_per_queue_draws(lams):
+    vector = np.random.default_rng(5)
+    scalar = np.random.default_rng(5)
+    for _ in range(200):
+        drawn = vector.poisson(np.array(lams))
+        assert drawn.tolist() == [int(scalar.poisson(lam)) for lam in lams]
+    assert vector.random() == scalar.random()
+
+
+def test_arrivals_take_the_drawn_count():
+    q = queue_for("ar", rate=256_000.0)
+    assert q.arrival_rate() == 256_000.0 * 1.0 / 1000.0 / 1000
+    assert q.arrival_rate(0.5) == q.arrival_rate() * 0.5
+    fresh = q.generate_arrivals(4, 3)
+    assert len(fresh) == len(q) == 3
+    assert all(p.arrival_tti == 4 for p in fresh)
+    assert q.queued_bits == q.queued_remaining_bits == 3000
+    assert q.generate_arrivals(5, 0) == []
 
 
 def test_same_seed_same_arrival_sequence():
@@ -79,7 +107,7 @@ def test_same_seed_same_arrival_sequence():
         rng = np.random.default_rng(7)
         counts = []
         for t in range(500):
-            counts.append(len(q.generate_arrivals(t, rng)))
+            counts.append(len(arrive(q, t, rng)))
         return counts
 
     assert run() == run()
@@ -188,7 +216,7 @@ def test_packets_conserved_under_random_workload(seed):
     q = queue_for("ar", rate=2_000_000.0)
     arrived = delivered = dropped = 0
     for t in range(300):
-        arrived += len(q.generate_arrivals(t, rng))
+        arrived += len(arrive(q, t, rng))
         d, x = q.serve(int(rng.integers(0, 4000)), t)
         delivered += len(d)
         dropped += len(x)
@@ -202,7 +230,7 @@ def test_no_delivered_packet_over_budget(seed):
     rng = np.random.default_rng(seed)
     q = queue_for("ar", rate=1_500_000.0)
     for t in range(200):
-        q.generate_arrivals(t, rng)
+        arrive(q, t, rng)
         delivered, _ = q.serve(int(rng.integers(0, 3000)), t)
         for p in delivered:
             assert p.age_ms(t) <= q.flow.delay_budget_ms
