@@ -212,7 +212,7 @@ EDGE_CASES = [
 
 def audited_config(p):
     cfg = small_agents(SimConfig())
-    cfg.seed = p["seed"] if "seed" in p else 1
+    cfg.seed = p.get("seed", 1)
     for key in ("n_cells", "n_ues", "n_rbg", "tti_ms", "ttis", "window_ttis",
                 "scenario", "mode"):
         setattr(cfg, key, p[key])
