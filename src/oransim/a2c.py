@@ -31,8 +31,7 @@ class FeedForwardNet:
     which backpropagates and writes the parameters.
     """
 
-    def __init__(self, layer_dims, rng=None, output_activation="identity",
-                 zero_init=False):
+    def __init__(self, layer_dims, rng=None, output_activation="identity"):
         if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
             raise ValueError(f"bad layer_dims {layer_dims}")
         if output_activation not in ("identity", "softmax"):
@@ -42,7 +41,7 @@ class FeedForwardNet:
         self.weights = []
         self.biases = []
         for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-            if zero_init or rng is None:
+            if rng is None:
                 self.weights.append(np.zeros((fan_out, fan_in)))
             else:
                 self.weights.append(_init_matrix(rng, fan_out, fan_in))
@@ -71,26 +70,6 @@ class FeedForwardNet:
         if self.output_activation == "softmax":
             return softmax(h)
         return h
-
-    def snapshot(self):
-        """Flat JSON-friendly record: dims, output head and row-major params."""
-        return {
-            "layer_dims": list(self.layer_dims),
-            "output_activation": self.output_activation,
-            "weights": [w.ravel().tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-        }
-
-    @classmethod
-    def from_snapshot(cls, snap):
-        net = cls(snap["layer_dims"],
-                  output_activation=snap["output_activation"],
-                  zero_init=True)
-        for i, (w_flat, b) in enumerate(zip(snap["weights"], snap["biases"])):
-            net.weights[i] = np.asarray(w_flat, dtype=np.float64).reshape(
-                net.weights[i].shape)
-            net.biases[i] = np.asarray(b, dtype=np.float64)
-        return net
 
 
 def softmax(logits):
@@ -292,7 +271,6 @@ class A2cAgent:
     lr_actor: float = 0.01
     lr_critic: float = 0.05
     clip_norm: float | None = 10.0
-    rng_seed: int = 0
     update_count: int = field(default=0, repr=False)
 
     def __post_init__(self):
@@ -310,7 +288,7 @@ class A2cAgent:
         actor = FeedForwardNet(actor_dims, rng, output_activation="softmax")
         critic = FeedForwardNet(critic_dims, rng)
         return cls(actor=actor, critic=critic, gamma=gamma, lr_actor=lr_actor,
-                   lr_critic=lr_critic, clip_norm=clip_norm, rng_seed=rng_seed)
+                   lr_critic=lr_critic, clip_norm=clip_norm)
 
     @property
     def n_actions(self):
@@ -382,22 +360,3 @@ class A2cAgent:
         critic_steps.write()
         actor_steps.write()
         return deltas
-
-    def snapshot(self):
-        return {
-            "actor": self.actor.snapshot(),
-            "critic": self.critic.snapshot(),
-            "gamma": self.gamma,
-            "lr_actor": self.lr_actor,
-            "lr_critic": self.lr_critic,
-            "clip_norm": self.clip_norm,
-            "rng_seed": self.rng_seed,
-        }
-
-    @classmethod
-    def from_snapshot(cls, snap):
-        return cls(actor=FeedForwardNet.from_snapshot(snap["actor"]),
-                   critic=FeedForwardNet.from_snapshot(snap["critic"]),
-                   gamma=snap["gamma"], lr_actor=snap["lr_actor"],
-                   lr_critic=snap["lr_critic"], clip_norm=snap["clip_norm"],
-                   rng_seed=snap["rng_seed"])

@@ -181,6 +181,7 @@ def validate_config(cfg: SimConfig, allow_out_of_envelope=False):
                     key)
     require(cfg.ttis >= 0, f"sim.ttis must be >= 0, got {cfg.ttis}", "sim.ttis")
     require(cfg.runs >= 1, f"sim.runs must be >= 1, got {cfg.runs}", "sim.runs")
+    require(cfg.seed >= 0, f"sim.seed must be >= 0, got {cfg.seed}", "sim.seed")
     for key in ("n_cells", "n_ues", "n_rbg", "window_ttis"):
         require(getattr(cfg, key) >= 1,
                 f"sim.{key} must be >= 1, got {getattr(cfg, key)}", f"sim.{key}")
@@ -204,8 +205,8 @@ def validate_config(cfg: SimConfig, allow_out_of_envelope=False):
             "a2c.lr_actor")
     require(0.0 < cfg.a2c.lr_critic <= 1.0, "a2c.lr_critic must be in (0, 1]",
             "a2c.lr_critic")
-    require(cfg.a2c.actor_hidden >= 0 and cfg.a2c.critic_hidden >= 0,
-            "hidden widths must be >= 0", "a2c.actor_hidden")
+    for key in ("a2c.actor_hidden", "a2c.critic_hidden"):
+        require(get_key(cfg, key) >= 0, f"{key} must be >= 0", key)
     require(cfg.a2c.clip_norm > 0.0, "a2c.clip_norm must be > 0",
             "a2c.clip_norm")
     require(cfg.traffic.ue_rate_bps >= 0.0, "traffic.ue_rate_bps must be >= 0",
@@ -257,6 +258,6 @@ def validate_config(cfg: SimConfig, allow_out_of_envelope=False):
     require(cfg.placement.cu_extra_delay_ttis >= 0,
             "placement.cu_extra_delay_ttis must be >= 0",
             "placement.cu_extra_delay_ttis")
-    require(cfg.placement.tau >= 0.0 and cfg.placement.lam >= 0.0,
-            "placement reward weights must be >= 0", "placement.tau")
+    for key in ("placement.tau", "placement.lambda"):
+        require(get_key(cfg, key) >= 0.0, f"{key} must be >= 0", key)
     return cfg

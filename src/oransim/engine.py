@@ -25,7 +25,6 @@ from .placement import (
     PlacementController,
 )
 from .ran import (
-    InterferenceView,
     UNASSIGNED,
     build_interference_view,
     compute_cqi,
@@ -174,13 +173,11 @@ class Simulation:
         same.
         """
         cfg = self.cfg.ran
-        view = build_interference_view(self.prev_allocations) \
-            if self.prev_allocations else InterferenceView.empty()
+        view = build_interference_view(self.prev_allocations)
         self.interference_events += view.collision_count()
         for ue in refresh:
-            self._base_cqi[ue.ue_id] = int(compute_cqi(
-                ue, self.cells[ue.serving_cell_id], None, cfg,
-                self.rng_channel)[0])
+            self._base_cqi[ue.ue_id] = compute_cqi(
+                ue, self.cells[ue.serving_cell_id], cfg, self.rng_channel)
         for cell, ues in zip(self.cells, cell_ues):
             interfered = view.interfered_rbgs(cell.cell_id)
             seen, vectors = self._cqi_vectors[cell.cell_id]
@@ -237,7 +234,7 @@ class Simulation:
             extra = self.placement.age_offset_ms(c)
             ctx = CellTti(
                 cell=cell, ues=ues, queues=self.queues, now=t,
-                tti_ms=cfg.tti_ms, age_offset_ms=extra,
+                age_offset_ms=extra,
                 blocked_rbgs=set(cu_taken) if c in cu_group else set())
             out = schedule_tti(self.sched_agents[c], ctx, cfg.sched,
                                self.rng_sched)

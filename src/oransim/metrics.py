@@ -143,8 +143,7 @@ class MetricsLedger:
             "windows": {f"{w}/{c}": vars(s).copy()
                         for (w, c), s in sorted(self.windows.items())},
             "totals": {c: vars(t).copy() for c, t in sorted(self.totals.items())},
-            "placements": [(e.tti, e.du_id, e.location, e.urllc_share,
-                            tuple(sorted(e.class_shares.items())))
+            "placements": [(e.tti, e.du_id, e.location, e.urllc_share)
                            for e in self.placement_events],
         }
 

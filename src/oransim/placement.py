@@ -53,23 +53,18 @@ def epoch_reward(samples, location, tau, lam):
     return total / len(samples)
 
 
-def queue_shares(queues):
-    """Per-class packet shares and the URLLC share of one DU's queues."""
-    counts = dict.fromkeys(CLASS_ORDER, 0)
-    urllc = 0
+def queue_urllc_share(queues):
+    """The URLLC share of one DU's queued packets."""
+    total = urllc = 0
     for q in queues:
-        counts[q.flow.label] += len(q)
+        total += len(q)
         if q.flow.is_urllc:
             urllc += len(q)
-    total = sum(counts.values())
-    shares = {name: (counts[name] / total if total else 0.0)
-              for name in CLASS_ORDER}
-    return shares, (urllc / total if total else 0.0)
+    return urllc / total if total else 0.0
 
 
 def queue_mix(queues, now, tti_ms=1.0):
-    """Per-class packet shares and budget-pressure ratios for one DU."""
-    shares, urllc_share = queue_shares(queues)
+    """Per-class budget-pressure ratios, URLLC share and queued bits of a DU."""
     counts = dict.fromkeys(CLASS_ORDER, 0)
     ratio_sums = dict.fromkeys(CLASS_ORDER, 0.0)
     for q in queues:
@@ -81,14 +76,14 @@ def queue_mix(queues, now, tti_ms=1.0):
     ratios = {name: (ratio_sums[name] / counts[name] if counts[name] else 0.0)
               for name in CLASS_ORDER}
     bits = sum(q.queued_bits for q in queues)
-    return shares, ratios, urllc_share, bits
+    return ratios, queue_urllc_share(queues), bits
 
 
 def build_placement_observation(mix, current_location, cu_fraction,
                                 depth_cap_bits=262_144):
     """Fixed 7-feature vector describing one DU's traffic situation, from
     the DU's `queue_mix`."""
-    _, ratios, urllc_share, bits = mix
+    ratios, urllc_share, bits = mix
     obs = np.zeros(N_PLACEMENT_FEATURES)
     obs[0] = urllc_share
     obs[1] = ratios["video"]
@@ -102,12 +97,11 @@ def build_placement_observation(mix, current_location, cu_fraction,
 
 @dataclass
 class PlacementEvent:
-    """One epoch decision for one DU, tagged with the queue mix it saw."""
+    """One epoch decision for one DU, tagged with its queues' URLLC share."""
     tti: int
     du_id: int
     location: int
     urllc_share: float
-    class_shares: dict
 
 
 class PlacementController:
@@ -162,10 +156,10 @@ class PlacementController:
         for du in self.du_ids:
             if self.forced is not None:
                 applied = self.forced
-                shares, urllc_share = queue_shares(du_queues[du])
+                urllc_share = queue_urllc_share(du_queues[du])
             else:
                 mix = queue_mix(du_queues[du], tti, self.tti_ms)
-                shares, _, urllc_share, _ = mix
+                _, urllc_share, _ = mix
                 obs = build_placement_observation(
                     mix, self.locations[du], cu_fraction)
                 last = self._open.pop(du, None)
@@ -187,7 +181,7 @@ class PlacementController:
             self.locations[du] = applied
             events.append(PlacementEvent(
                 tti=tti, du_id=du, location=applied,
-                urllc_share=urllc_share, class_shares=shares))
+                urllc_share=urllc_share))
         return events
 
 

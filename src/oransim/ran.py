@@ -80,13 +80,10 @@ def snr_to_cqi(snr_db, cfg: RanConfig):
     return int(round(CQI_MIN + (CQI_MAX - CQI_MIN) * frac))
 
 
-def compute_cqi(ue: Ue, cell: Cell, interference, cfg: RanConfig, rng=None):
-    """Per-RBG CQI vector for a UE attached to `cell`.
-
-    Base CQI comes from path loss at the UE's distance (plus shadowing
-    when enabled); each RBG the serving cell collided on last TTI is
-    knocked down by the configured penalty, floored at CQI 1. Without an
-    interference view every RBG holds the base CQI.
+def compute_cqi(ue: Ue, cell: Cell, cfg: RanConfig, rng=None):
+    """Base CQI of a UE attached to `cell`: path loss at the UE's distance
+    (plus shadowing when enabled). `cqi_vector` applies the interference
+    penalty per RBG.
     """
     if ue.serving_cell_id != cell.cell_id:
         raise ValueError(f"UE {ue.ue_id} is not served by cell {cell.cell_id}")
@@ -97,11 +94,7 @@ def compute_cqi(ue: Ue, cell: Cell, interference, cfg: RanConfig, rng=None):
         snr = -10.0 * cfg.path_loss_exponent * math.log10(d / cfg.ref_distance_m)
     if cfg.shadow_sigma_db > 0.0 and rng is not None:
         snr += cfg.shadow_sigma_db * rng.standard_normal()
-    base = snr_to_cqi(snr, cfg)
-    interfered = (interference.interfered_rbgs(cell.cell_id)
-                  if interference is not None else ())
-    return cqi_vector(base, cell.n_rbg, interfered,
-                      cfg.interference_cqi_penalty)
+    return snr_to_cqi(snr, cfg)
 
 
 def cqi_vector(base, n_rbg, interfered, penalty):
@@ -128,10 +121,6 @@ class InterferenceView:
     def __init__(self, users_per_rbg):
         # users_per_rbg: dict rbg -> sorted tuple of cell ids that assigned it
         self._users = users_per_rbg
-
-    @classmethod
-    def empty(cls):
-        return cls({})
 
     def interfered_rbgs(self, cell_id):
         """RBGs on which `cell_id` collided with at least one other cell."""

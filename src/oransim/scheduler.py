@@ -44,7 +44,6 @@ class CellTti:
     ues: list                      # UEs served by this cell
     queues: dict                   # ue_id -> RlcQueue
     now: int
-    tti_ms: float = 1.0
     age_offset_ms: float = 0.0
     blocked_rbgs: set = field(default_factory=set)
 

@@ -15,7 +15,6 @@ URLLC_BUDGET_THRESHOLD_MS = 20.0
 
 @dataclass(frozen=True)
 class FlowSpec:
-    qci: int
     priority: int               # lower number = more important
     delay_budget_ms: float
     mean_rate_bps: float
@@ -33,11 +32,11 @@ class FlowSpec:
         return self.delay_budget_ms <= URLLC_BUDGET_THRESHOLD_MS
 
 
-# QCI table rows used by the scenarios: class name -> (qci, priority, budget)
+# QCI table rows used by the scenarios: class name -> (priority, budget)
 TRAFFIC_CLASSES = {
-    "video": dict(qci=2, priority=40, delay_budget_ms=150.0),
-    "ar": dict(qci=80, priority=68, delay_budget_ms=10.0),
-    "v2x": dict(qci=75, priority=25, delay_budget_ms=20.0),
+    "video": dict(priority=40, delay_budget_ms=150.0),
+    "ar": dict(priority=68, delay_budget_ms=10.0),
+    "v2x": dict(priority=25, delay_budget_ms=20.0),
 }
 
 CLASS_ORDER = ("video", "ar", "v2x")

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -188,7 +189,7 @@ def expected_step(agent, t, delta):
 def learn_with_delta(agent, obs, action, delta, mask=None):
     """`learn` on one transition whose TD error is exactly `delta`: under
     a zero critic a terminal transition's TD error is its reward."""
-    agent.critic = FeedForwardNet(agent.critic.layer_dims, zero_init=True)
+    agent.critic = FeedForwardNet(agent.critic.layer_dims)
     t = TransitionRecord(obs, action, delta, obs, terminal=True, mask=mask)
     assert agent.learn([t]) == [delta]
 
@@ -196,14 +197,14 @@ def learn_with_delta(agent, obs, action, delta, mask=None):
 # ------------------------------------------------------------ forward pass
 
 def test_zero_net_gives_uniform_policy():
-    net = FeedForwardNet([4, 6, 3], zero_init=True, output_activation="softmax")
+    net = FeedForwardNet([4, 6, 3], output_activation="softmax")
     probs = net.forward(np.array([0.3, -0.1, 0.9, 0.2]))
     assert np.allclose(probs, 1.0 / 3.0, atol=1e-12)
 
 
 def test_softmax_closed_form_quarter_three_quarters():
     # logits (z, z + ln 3) -> probabilities (0.25, 0.75)
-    net = FeedForwardNet([1, 2], zero_init=True, output_activation="softmax")
+    net = FeedForwardNet([1, 2], output_activation="softmax")
     net.biases[0][:] = [0.7, 0.7 + math.log(3.0)]
     probs = net.forward(np.array([0.0]))
     assert probs == pytest.approx([0.25, 0.75], abs=1e-12)
@@ -219,7 +220,7 @@ def test_forward_matches_scripted_oracle():
 
 
 def test_forward_rejects_dimension_mismatch():
-    net = FeedForwardNet([3, 2], zero_init=True)
+    net = FeedForwardNet([3, 2])
     with pytest.raises(ValueError):
         net.forward(np.zeros(4))
 
@@ -275,7 +276,7 @@ def make_agent(seed=0, obs_dim=4, n_actions=3, actor_hidden=6, critic_hidden=5,
 
 
 def test_zero_critic_value_is_zero():
-    critic = FeedForwardNet([4, 5, 1], zero_init=True)
+    critic = FeedForwardNet([4, 5, 1])
     assert value(critic, np.array([0.1, 0.2, 0.3, 0.4])) == 0.0
 
 
@@ -290,7 +291,7 @@ def test_critic_matches_oracle_and_is_deterministic():
 def linear_value_agent(gamma):
     """An agent whose critic is V = x[0], so observations encode values."""
     agent = make_agent(seed=3, gamma=gamma, obs_dim=2)
-    agent.critic = FeedForwardNet([2, 1], zero_init=True)
+    agent.critic = FeedForwardNet([2, 1])
     agent.critic.weights[0][:] = [[1.0, 0.0]]
     return agent
 
@@ -312,7 +313,7 @@ def test_td_error_arithmetic():
 
 def test_td_error_fixed_point_is_zero():
     agent = make_agent(seed=4, obs_dim=2)
-    agent.critic = FeedForwardNet([2, 1], zero_init=True)
+    agent.critic = FeedForwardNet([2, 1])
     agent.critic.biases[0][:] = [0.7]
     agent.gamma = 1.0 - 1e-12  # gamma ~ 1 within the allowed range
     t = TransitionRecord(np.zeros(2), 0, 0.0, np.zeros(2))
@@ -321,7 +322,7 @@ def test_td_error_fixed_point_is_zero():
 
 def test_update_critic_zero_delta_leaves_params_bitwise():
     agent = make_agent(seed=9)
-    agent.critic = FeedForwardNet([4, 1], zero_init=True)
+    agent.critic = FeedForwardNet([4, 1])
     obs = np.array([0.5, 0.5, 0.5, 0.5])
     before = [p.copy() for p in params_of(agent)]
     # reward engineered so delta == 0: R = V(cur) - gamma*V(next) = 0 here
@@ -336,7 +337,7 @@ def test_update_critic_linear_closed_form():
     # exactly w += lr*delta*x, b += lr*delta.
     agent = make_agent(seed=2, obs_dim=3, gamma=0.9, lr_critic=0.05)
     agent.clip_norm = None
-    agent.critic = FeedForwardNet([3, 1], zero_init=True)
+    agent.critic = FeedForwardNet([3, 1])
     agent.critic.weights[0][:] = [[0.3, -0.2, 0.1]]
     agent.critic.biases[0][:] = [0.05]
     obs = np.array([1.0, 2.0, -1.0])
@@ -362,7 +363,7 @@ def bellman_two_state(r01, r10, gamma):
 def test_critic_converges_on_two_state_mdp():
     v_star = bellman_two_state(1.0, 0.0, 0.9)
     agent = make_agent(seed=0, obs_dim=2, gamma=0.9, lr_critic=0.05)
-    agent.critic = FeedForwardNet([2, 1], zero_init=True)
+    agent.critic = FeedForwardNet([2, 1])
     s0 = np.array([1.0, 0.0])
     s1 = np.array([0.0, 1.0])
     for _ in range(5000):
@@ -479,7 +480,7 @@ def test_three_layer_backprop_matches_finite_differences():
     assert pack_params(agent.actor).size <= 1000
     x = rng.uniform(-1, 1, size=6)
     t = TransitionRecord(x, 1, 1.5, rng.uniform(-1, 1, size=6))
-    reference = A2cAgent.from_snapshot(agent.snapshot())
+    reference = copy.deepcopy(agent)
     want, _ = expected_step(agent, t, td_error(agent, t))
     _, got = applied_step(agent, [t])
     for g, w in zip(got, want):
@@ -539,7 +540,7 @@ def test_learn_matches_sequential_updates(actor_hidden, critic_hidden, masked):
         agent = make_agent(seed=k, obs_dim=obs_dim, n_actions=n_actions,
                            actor_hidden=actor_hidden,
                            critic_hidden=critic_hidden)
-        reference = A2cAgent.from_snapshot(agent.snapshot())
+        reference = copy.deepcopy(agent)
         ts = random_transitions(agent, k, masked, k, obs_dim, n_actions)
         want_deltas, clips = sequential_learn(reference, ts)
         got_deltas = agent.learn(ts)
@@ -566,7 +567,7 @@ def test_learn_changes_parameters_by_lr_delta_gradient():
         delta = td_error(agent, t)
         expected, clips = expected_step(agent, t, delta)
         clip_hits += clips
-        reference = A2cAgent.from_snapshot(agent.snapshot())
+        reference = copy.deepcopy(agent)
         sequential_learn(reference, [t])
         deltas, applied = applied_step(agent, [t])
         assert deltas == [pytest.approx(delta, rel=1e-12)]
@@ -611,7 +612,7 @@ def test_non_finite_gradient_aborts():
 
 def test_gradient_clipping_caps_step_norm():
     agent = make_agent(seed=5, obs_dim=2)
-    agent.critic = FeedForwardNet([2, 1], zero_init=True)
+    agent.critic = FeedForwardNet([2, 1])
     x = np.array([30.0, 40.0])
     # delta = 100: the critic's gradient 100 * (30, 40, 1) is far over 10
     _, (actor_step, critic_step) = applied_step(
@@ -646,24 +647,15 @@ def test_identical_seeds_and_streams_give_bitwise_identical_params():
         assert wa.tobytes() == wb.tobytes()
 
 
-def test_snapshot_round_trip_is_bitwise():
-    agent = make_agent(seed=55)
-    clone = A2cAgent.from_snapshot(agent.snapshot())
-    obs = np.array([0.3, 0.1, -0.5, 0.9])
-    assert value(clone.critic, obs) == value(agent.critic, obs)
-    for wa, wb in zip(agent.actor.weights, clone.actor.weights):
-        assert wa.tobytes() == wb.tobytes()
-
-
 def test_agent_validation():
     # gamma and the learning rates are range-checked by validate_config
-    actor = FeedForwardNet([4, 3], zero_init=True, output_activation="softmax")
-    critic = FeedForwardNet([4, 1], zero_init=True)
+    actor = FeedForwardNet([4, 3], output_activation="softmax")
+    critic = FeedForwardNet([4, 1])
     with pytest.raises(ValueError, match="scalar output"):
-        A2cAgent(actor=actor, critic=FeedForwardNet([4, 2], zero_init=True))
+        A2cAgent(actor=actor, critic=FeedForwardNet([4, 2]))
     with pytest.raises(ValueError, match="softmax"):
-        A2cAgent(actor=FeedForwardNet([4, 3], zero_init=True), critic=critic)
+        A2cAgent(actor=FeedForwardNet([4, 3]), critic=critic)
     with pytest.raises(ValueError):
-        FeedForwardNet([4], zero_init=True)
+        FeedForwardNet([4])
     with pytest.raises(ValueError):
         FeedForwardNet([4, 3], output_activation="relu")

@@ -92,7 +92,7 @@ def test_criterion_2_critic_bellman_oracle():
     agent = A2cAgent.build(obs_dim=2, n_actions=2, actor_hidden=4,
                            critic_hidden=0, rng_seed=0, gamma=gamma,
                            lr_critic=0.05)
-    agent.critic = FeedForwardNet([2, 1], zero_init=True)
+    agent.critic = FeedForwardNet([2, 1])
     s0, s1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     updates = 0
     err = float("inf")

@@ -17,7 +17,7 @@ pytest.importorskip("pytest_benchmark")
 
 from oransim.config import parse_config_file
 from oransim.engine import Simulation
-from oransim.ran import build_interference_view, compute_cqi
+from oransim.ran import build_interference_view, compute_cqi, cqi_vector
 from oransim.scheduler import (
     CellTti,
     ObservationGrid,
@@ -62,9 +62,12 @@ def test_bench_channel_update(benchmark, sim):
 def test_bench_channel_per_ue_reference(benchmark, sim):
     def per_ue():
         view = build_interference_view(sim.prev_allocations)
+        cfg = sim.cfg.ran
         for ue in sim.ues:
-            compute_cqi(ue, sim.cells[ue.serving_cell_id], view, sim.cfg.ran,
-                        sim.rng_channel)
+            cell = sim.cells[ue.serving_cell_id]
+            cqi_vector(compute_cqi(ue, cell, cfg, sim.rng_channel), cell.n_rbg,
+                       view.interfered_rbgs(cell.cell_id),
+                       cfg.interference_cqi_penalty)
     bench(benchmark, "engine-channel", per_ue)
 
 

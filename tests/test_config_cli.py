@@ -88,9 +88,12 @@ def test_urllc_density_envelope_enforced_unless_overridden():
     ("a2c.gamma", "1.0"),
     ("a2c.lr_actor", "0"),
     ("a2c.lr_critic", "1.5"),
+    ("a2c.actor_hidden", "-1"),
+    ("a2c.critic_hidden", "-3"),
     ("placement.epoch_ttis", "0"),
     ("placement.cu_extra_delay_ttis", "-1"),
     ("placement.tau", "-0.1"),
+    ("placement.lambda", "-1"),
     ("ran.cell_spacing_m", "-100"),
     ("ran.cell_spacing_m", "0"),
     ("ran.path_loss_exponent", "0"),
@@ -99,6 +102,7 @@ def test_urllc_density_envelope_enforced_unless_overridden():
     ("ran.shadow_sigma_db", "-1"),
     ("traffic.arrival_cap_events_per_tti", "0"),
     ("traffic.arrival_cap_events_per_tti", "-5"),
+    ("sim.seed", "-1"),
 ])
 def test_out_of_range_value_rejected_with_key(key, raw):
     cfg = parse_config_text(f"{key} = {raw}")
@@ -218,6 +222,15 @@ def test_negative_cell_spacing_exits_2(capsys, tmp_path):
                            str(tmp_path / "out"))
     assert code == 2
     assert "ran.cell_spacing_m" in err
+
+
+def test_negative_seed_exits_2(capsys, tmp_path):
+    p = tmp_path / "c.conf"
+    p.write_text("sim.n_cells = 2\nsim.n_ues = 6\nsim.ttis = 20\n")
+    code, _, err = run_cli(capsys, "run", "--config", str(p), "--seed", "-1",
+                           "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "sim.seed" in err
 
 
 @pytest.mark.parametrize("key", ["ran.near_snr_db", "sim.tti_ms",

@@ -23,7 +23,7 @@ from oransim.engine import (
 )
 from oransim.metrics import MetricsLedger, aggregate_rows, ledger_rows
 from oransim.placement import PlacementEvent, LOCATION_CU, LOCATION_DU
-from oransim.ran import build_interference_view, compute_cqi
+from oransim.ran import build_interference_view, compute_cqi, cqi_vector
 from oransim.traffic import RlcQueue
 
 
@@ -133,8 +133,10 @@ def test_every_cqi_equals_a_fresh_compute_cqi(scenario, penalty, shadow_db):
         sim.step(t)
         # the oracle draws the channel stream once per UE, in UE id order
         for ue in sim.ues:
-            fresh = compute_cqi(ue, sim.cells[ue.serving_cell_id], view,
-                                cfg.ran, channel)
+            cell = sim.cells[ue.serving_cell_id]
+            fresh = cqi_vector(compute_cqi(ue, cell, cfg.ran, channel),
+                               cell.n_rbg, view.interfered_rbgs(cell.cell_id),
+                               penalty)
             assert ue.cqi_per_rbg.dtype == fresh.dtype
             assert np.array_equal(ue.cqi_per_rbg, fresh), (t, ue.ue_id)
             assert not ue.cqi_per_rbg.flags.writeable
@@ -430,14 +432,14 @@ def test_throughput_accounts_delivered_bits_per_time():
 def test_relocation_ratio_trivials():
     led = MetricsLedger(window_ttis=10)
     led.record_placements([
-        PlacementEvent(0, 0, LOCATION_DU, 0.5, {"video": 1.0}),
-        PlacementEvent(10, 0, LOCATION_CU, 0.5, {"video": 1.0}),
+        PlacementEvent(0, 0, LOCATION_DU, 0.5),
+        PlacementEvent(10, 0, LOCATION_CU, 0.5),
     ])
     assert led.du_cu_ratio() == (0.5, 0.5)
     led2 = MetricsLedger(window_ttis=10)
     led2.record_placements([
-        PlacementEvent(0, 0, LOCATION_DU, 0.0, {"video": 1.0}),
-        PlacementEvent(10, 1, LOCATION_DU, 0.0, {"video": 1.0}),
+        PlacementEvent(0, 0, LOCATION_DU, 0.0),
+        PlacementEvent(10, 1, LOCATION_DU, 0.0),
     ])
     assert led2.du_cu_ratio() == (1.0, 0.0)
 

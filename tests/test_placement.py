@@ -16,7 +16,7 @@ from oransim.placement import (
     dscd_reward_sample,
     epoch_reward,
     queue_mix,
-    queue_shares,
+    queue_urllc_share,
     relocation_ratio,
 )
 from oransim.ran import compute_cqi
@@ -69,9 +69,7 @@ def make_queues(now=10):
 
 
 def test_queue_mix_counts_and_shares():
-    shares, ratios, urllc_share, bits = queue_mix(make_queues(), now=10)
-    assert shares["video"] == pytest.approx(1 / 3)
-    assert shares["ar"] == pytest.approx(2 / 3)
+    ratios, urllc_share, bits = queue_mix(make_queues(), now=10)
     assert urllc_share == pytest.approx(2 / 3)
     assert bits == 3000
     assert ratios["video"] == pytest.approx(min(30 / 150, 2) / 2)
@@ -79,7 +77,7 @@ def test_queue_mix_counts_and_shares():
 
 def oracle_queue_mix(queues, now, tti_ms=1.0):
     """The mix counted packet by packet: the reference for queue_mix and
-    queue_shares."""
+    queue_urllc_share."""
     counts = dict.fromkeys(CLASS_ORDER, 0)
     ratio_sums = dict.fromkeys(CLASS_ORDER, 0.0)
     total = urllc = bits = 0
@@ -93,11 +91,9 @@ def oracle_queue_mix(queues, now, tti_ms=1.0):
             bits += p.size_bits
             if q.flow.is_urllc:
                 urllc += 1
-    shares = {name: (counts[name] / total if total else 0.0)
-              for name in CLASS_ORDER}
     ratios = {name: (ratio_sums[name] / counts[name] if counts[name] else 0.0)
               for name in CLASS_ORDER}
-    return shares, ratios, (urllc / total if total else 0.0), bits
+    return ratios, (urllc / total if total else 0.0), bits
 
 
 random_queues = st.lists(st.tuples(
@@ -119,8 +115,7 @@ def test_queue_shares_and_mix_equal_the_per_packet_count(spec, tti_ms):
         queues.append(q)
     expected = oracle_queue_mix(queues, now, tti_ms)
     assert queue_mix(queues, now, tti_ms) == expected
-    shares, urllc_share = queue_shares(queues)
-    assert (shares, urllc_share) == (expected[0], expected[2])
+    assert queue_urllc_share(queues) == expected[1]
 
 
 def test_forced_epoch_events_carry_the_queue_mix_shares():
@@ -129,8 +124,7 @@ def test_forced_epoch_events_carry_the_queue_mix_shares():
                                forced=LOCATION_CU)
     events = ctrl.decide_epoch(10, [queues, queues[:1]])
     for event, du_queues in zip(events, [queues, queues[:1]]):
-        shares, _, urllc_share, _ = queue_mix(du_queues, 10)
-        assert event.class_shares == shares
+        _, urllc_share, _ = queue_mix(du_queues, 10)
         assert event.urllc_share == urllc_share
         assert event.location == LOCATION_CU
 
@@ -157,8 +151,8 @@ def test_age_offset_follows_location():
 
 # -------------------------------------------------------- relocation ratio
 
-def ev(tti, du, loc, urllc=0.0, shares=None):
-    return PlacementEvent(tti, du, loc, urllc, shares or {})
+def ev(tti, du, loc, urllc=0.0):
+    return PlacementEvent(tti, du, loc, urllc)
 
 
 def test_always_du_ratio_is_one():
@@ -293,7 +287,7 @@ def test_pure_video_with_heavy_collisions_learns_cu_placement():
         cell = sim.cells[i // 3]
         ue.serving_cell_id = cell.cell_id
         ue.position = (cell.position[0] + off, cell.position[1] + off)
-        assert int(compute_cqi(ue, cell, None, cfg.ran)[0]) == 5
+        assert compute_cqi(ue, cell, cfg.ran) == 5
     led = sim.run()
     ratio = relocation_ratio(led.placement_events, tti_range=(1500, 3000))
     assert ratio[1] > 0.5

@@ -14,6 +14,7 @@ from oransim.ran import (
     Ue,
     build_interference_view,
     compute_cqi,
+    cqi_vector,
     drop_ues,
     grid_topology,
     nearest_cell_id,
@@ -34,15 +35,20 @@ def make_ue(pos, cell_id=0):
 
 def test_ue_at_cell_center_reports_max_cqi():
     cell = make_cell()
-    cqi = compute_cqi(make_ue((0.0, 0.0)), cell, None, RanConfig())
-    assert np.all(cqi == CQI_MAX)
+    assert compute_cqi(make_ue((0.0, 0.0)), cell, RanConfig()) == CQI_MAX
+
+
+def penalized_cqi(ue, cell, view, cfg):
+    return cqi_vector(compute_cqi(ue, cell, cfg), cell.n_rbg,
+                      view.interfered_rbgs(cell.cell_id),
+                      cfg.interference_cqi_penalty)
 
 
 def test_interference_penalty_knocks_down_single_rbg():
     cell = make_cell(n_rbg=3)
     view = build_interference_view({0: np.array([5, UNASSIGNED, UNASSIGNED]),
                                     1: np.array([7, UNASSIGNED, UNASSIGNED])})
-    cqi = compute_cqi(make_ue((0.0, 0.0)), cell, view, RanConfig())
+    cqi = penalized_cqi(make_ue((0.0, 0.0)), cell, view, RanConfig())
     assert list(cqi) == [12, 15, 15]
 
 
@@ -51,18 +57,18 @@ def test_penalty_floors_at_cqi_one():
     cell = make_cell(n_rbg=1, pos=(0.0, 0.0))
     ue = make_ue((cfg.max_radius_m, 0.0))
     view = build_interference_view({0: np.array([1]), 1: np.array([2])})
-    assert compute_cqi(ue, cell, view, cfg)[0] == CQI_MIN
+    assert penalized_cqi(ue, cell, view, cfg)[0] == CQI_MIN
 
 
 def test_ue_at_max_radius_reports_min_cqi():
     cfg = RanConfig()
-    cqi = compute_cqi(make_ue((cfg.max_radius_m, 0.0)), make_cell(), None, cfg)
-    assert np.all(cqi == CQI_MIN)
+    assert compute_cqi(make_ue((cfg.max_radius_m, 0.0)), make_cell(),
+                       cfg) == CQI_MIN
 
 
 def test_cqi_rejects_foreign_ue():
     with pytest.raises(ValueError):
-        compute_cqi(make_ue((0, 0), cell_id=3), make_cell(), None, RanConfig())
+        compute_cqi(make_ue((0, 0), cell_id=3), make_cell(), RanConfig())
 
 
 @settings(max_examples=200)
@@ -71,14 +77,14 @@ def test_cqi_rejects_foreign_ue():
 def test_cqi_always_in_bounds(dist, seed):
     cfg = RanConfig(shadow_sigma_db=4.0)
     rng = np.random.default_rng(seed)
-    cqi = compute_cqi(make_ue((dist, 0.0)), make_cell(), None, cfg, rng)
-    assert np.all((cqi >= CQI_MIN) & (cqi <= CQI_MAX))
+    cqi = compute_cqi(make_ue((dist, 0.0)), make_cell(), cfg, rng)
+    assert CQI_MIN <= cqi <= CQI_MAX
 
 
 def test_cqi_monotone_in_distance_without_shadowing():
     cfg = RanConfig()
     cell = make_cell(n_rbg=1)
-    values = [compute_cqi(make_ue((d, 0.0)), cell, None, cfg)[0]
+    values = [compute_cqi(make_ue((d, 0.0)), cell, cfg)
               for d in np.linspace(0, cfg.max_radius_m, 60)]
     assert all(a >= b for a, b in zip(values, values[1:]))
 

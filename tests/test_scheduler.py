@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -179,7 +181,7 @@ def test_grid_observations_equal_the_per_slot_build(data):
             q.push(Packet(draw(st.integers(1, 3000)), arrival))
         queues[i] = q
     ctx = CellTti(cell=toy_cell(n_rbg), ues=ues, queues=queues, now=now,
-                  tti_ms=tti_ms, age_offset_ms=draw(st.sampled_from([0.0, 2.0])),
+                  age_offset_ms=draw(st.sampled_from([0.0, 2.0])),
                   blocked_rbgs=draw(st.sets(st.integers(0, n_rbg - 1))))
     slots = select_slot_ues(ctx, cfg)
     uncovered = {ue.ue_id: queues[ue.ue_id].queued_remaining_bits
@@ -294,12 +296,15 @@ def test_fully_blocked_cell_decides_and_learns_nothing():
     q = RlcQueue(make_flow("ar", 1.0))
     for _ in range(10):
         q.push(Packet(1000, arrival_tti=0))
-    params, rng_state = agent.snapshot(), rng.bit_generator.state
+    params, rng_state = copy.deepcopy(agent), rng.bit_generator.state
     out = schedule_tti(agent, make_ctx([ue], {0: q}, n_rbg=3, blocked=(0, 1, 2)),
                        cfg, rng)
     assert np.all(out.allocation == UNASSIGNED)
     assert learned == [] and out.granted_bits == {}
-    assert agent.snapshot() == params and agent.update_count == 0
+    for net, old in ((agent.actor, params.actor), (agent.critic, params.critic)):
+        for w, w0 in zip(net.weights + net.biases, old.weights + old.biases):
+            assert w.tobytes() == w0.tobytes()
+    assert agent.update_count == 0
     assert rng.bit_generator.state == rng_state
 
 

@@ -19,13 +19,10 @@ def queue_for(class_name="video", rate=256_000.0, packet_bits=1000):
 # ------------------------------------------------------------------ classes
 
 def test_traffic_class_table():
-    assert TRAFFIC_CLASSES["video"]["qci"] == 2
     assert TRAFFIC_CLASSES["video"]["priority"] == 40
     assert TRAFFIC_CLASSES["video"]["delay_budget_ms"] == 150.0
-    assert TRAFFIC_CLASSES["ar"]["qci"] == 80
     assert TRAFFIC_CLASSES["ar"]["priority"] == 68
     assert TRAFFIC_CLASSES["ar"]["delay_budget_ms"] == 10.0
-    assert TRAFFIC_CLASSES["v2x"]["qci"] == 75
     assert TRAFFIC_CLASSES["v2x"]["priority"] == 25
     assert TRAFFIC_CLASSES["v2x"]["delay_budget_ms"] == 20.0
 
@@ -36,18 +33,16 @@ def test_urllc_classification_follows_budget():
     assert make_flow("v2x", 1.0).is_urllc
 
 
-def test_flow_carries_its_class_name_and_qci():
+def test_flow_carries_its_class_name():
     for name in CLASS_ORDER:
-        flow = make_flow(name, 1.0)
-        assert flow.label == name
-        assert flow.qci == TRAFFIC_CLASSES[name]["qci"]
+        assert make_flow(name, 1.0).label == name
     with pytest.raises(KeyError):
         make_flow("unknown", 1.0)
 
 
 def test_flow_validation():
     with pytest.raises(ValueError):
-        FlowSpec(qci=1, priority=1, delay_budget_ms=0.0,
+        FlowSpec(priority=1, delay_budget_ms=0.0,
                  mean_rate_bps=1.0, packet_size_bits=100, label="x")
 
 
