@@ -58,7 +58,10 @@ def main():
             overall = relocation_ratio(events, tti_range=tail)
             dom = relocation_ratio(events, urllc_threshold=0.5,
                                    tti_range=tail)
-            print(f"    placement DU/CU: {overall[0]:.2f}/{overall[1]:.2f}"
+            # a tail without a placement epoch has no split to print
+            split = "n/a" if overall is None else \
+                f"{overall[0]:.2f}/{overall[1]:.2f}"
+            print(f"    placement DU/CU: {split}"
                   + (f"; URLLC-dominated epochs at DU: {dom[0]:.2f}"
                      if dom else ""))
 

@@ -10,6 +10,7 @@ variable, else ./oransim-out.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -55,8 +56,24 @@ def _cell(value):
     return str(value)
 
 
+@contextlib.contextmanager
+def _replacing(path, **open_kwargs):
+    """A text file to write in place of `path`: a temp file in the same
+    directory, renamed onto `path` once the body finishes and removed if
+    it raises, so that `path` is either complete or untouched."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_rows_csv(rows, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _replacing(path, newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(CSV_HEADER)
         for r in rows:
@@ -65,7 +82,7 @@ def write_rows_csv(rows, path):
 
 def write_rows_json(rows, path):
     payload = [{col: r[col] for col in CSV_HEADER} for r in rows]
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
 
@@ -97,7 +114,7 @@ def write_manifest(out_dir, cfg, duration_s):
         "config": emit_config(cfg),
     }
     path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         json.dump(manifest, fh, indent=1)
         fh.write("\n")
     return path

@@ -10,12 +10,18 @@ comparable with a pinned dynamic run.
 
 from __future__ import annotations
 
+import functools
+import math
+import mmap
 import os
+import signal
+import time
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .a2c import A2cAgent
+from .a2c import A2cAgent, TransitionRecord
 from .config import SimConfig, validate_config
 from .metrics import MetricsLedger, aggregate_rows, ledger_rows
 from .placement import (
@@ -74,10 +80,17 @@ def assign_traffic_classes(cfg: SimConfig):
 
 
 class Simulation:
-    """One seeded run over cfg.ttis TTIs."""
+    """One seeded run over cfg.ttis TTIs.
 
-    def __init__(self, cfg: SimConfig, run_index=0):
+    With `learner`, `run` trains the scheduler agents in a forked process
+    (see `_Learner`), or in-process if none can be started; every number
+    stays the same.
+    """
+
+    def __init__(self, cfg: SimConfig, run_index=0, learner=False):
         self.cfg = cfg
+        self._fork_learner = learner
+        self._learner = None
         self.run_seed = cfg.seed + run_index
         seed = self.run_seed
 
@@ -229,6 +242,7 @@ class Simulation:
         cu_group = set(self.placement.cu_dus())
         cu_taken = set()
         allocations = {}
+        learner = self._learner
         for cell, ues in zip(self.cells, cell_ues):
             c = cell.cell_id
             extra = self.placement.age_offset_ms(c)
@@ -236,8 +250,13 @@ class Simulation:
                 cell=cell, ues=ues, queues=self.queues, now=t,
                 age_offset_ms=extra,
                 blocked_rbgs=set(cu_taken) if c in cu_group else set())
+            learn = None
+            if learner is not None:
+                # the cell decides on the weights its last `learn` left
+                learner.wait(c)
+                learn = functools.partial(learner.submit, c)
             out = schedule_tti(self.sched_agents[c], ctx, cfg.sched,
-                               self.rng_sched)
+                               self.rng_sched, learn)
             allocations[c] = out.allocation
             if c in cu_group:
                 cu_taken.update(
@@ -308,9 +327,271 @@ class Simulation:
                 raise AuditError(f"TTI {t}: UE {ue.ue_id} left the arena")
 
     def run(self):
-        for t in range(self.cfg.ttis):
-            self.step(t)
+        try:
+            if self._fork_learner:
+                try:
+                    self._learner = _Learner(
+                        [self.sched_agents[c.cell_id] for c in self.cells],
+                        self.cfg.n_rbg)
+                except OSError:   # no process to spare: train in-process
+                    pass
+            for t in range(self.cfg.ttis):
+                self.step(t)
+            self._collect()
+        except Exception:
+            # every outstanding `learn` came first in program order, so its
+            # error, if any, is the one raised
+            self._collect()
+            raise
+        finally:
+            if self._learner is not None:
+                self._learner.close()
+                self._learner = None
         return self.ledger
+
+    def _collect(self):
+        if self._learner is not None:
+            self._learner.wait_all()
+
+
+# ----------------------------------------------------------------- learner
+
+def _shared_arrays(specs):
+    """Zeroed arrays of the (shape, dtype) `specs`, 64-byte aligned in one
+    shared anonymous mapping: a forked child writes the same memory."""
+    sizes = [-(-math.prod(shape) * np.dtype(dtype).itemsize // 64) * 64
+             for shape, dtype in specs]
+    buf = mmap.mmap(-1, max(sum(sizes), 1))
+    arrays, offset = [], 0
+    for (shape, dtype), size in zip(specs, sizes):
+        arrays.append(np.ndarray(shape, dtype, buffer=buf, offset=offset))
+        offset += size
+    return arrays
+
+
+def _keep_heap_holes(n_bytes):
+    """Allocate and free one block of `n_bytes`, the agents' size.
+
+    glibc's malloc serves a block this large from a mapping of its own
+    and, when it is freed, raises its mmap threshold to the block's size
+    (mallopt(3), M_MMAP_THRESHOLD), so later blocks up to that size come
+    from the heap, as they do after in-process training. Without it, a
+    set-up later in the same process mapped and faulted in its agents'
+    weights afresh: `setup_s` on `reference` read 2.0-3.6 ms after runs
+    with a learner against 1.8-2.1 ms after in-process runs (2-vCPU VM).
+    Other allocators see one short-lived block. Only a later set-up in the
+    same process gains, so this can go once the benchmark times set-ups
+    in a fresh process.
+    """
+    np.empty(n_bytes, np.uint8)
+
+
+_POLL_S = 0.005
+
+
+def _poll(counts, i, seen):
+    """Wait up to _POLL_S for counts[i] to pass `seen`, without sleeping.
+
+    Both sides poll before they block on a pipe read, because most waits
+    last a millisecond or less and a sleeping waiter pays a wake-up each
+    time: on a 2-vCPU VM, blocking reads alone gave ×0.69–0.87 of the
+    TTI rate on `reference` and ×0.78–0.96 on `crowded-nfcu` (4 pairs
+    each). The pipe byte is written before the count, so a read that
+    follows a successful poll returns at once.
+    """
+    end = time.perf_counter() + _POLL_S
+    while counts[i] <= seen and time.perf_counter() < end:
+        pass
+
+
+class _Learner:
+    """A forked process that runs the scheduler agents' `learn`.
+
+    During the run the agents' weights live in a shared mapping, so the
+    learner's in-place writes are the weights the main process decides
+    with; `close` moves them back into the agents' own arrays, which a
+    later fork of this process copies rather than shares. Cell c's
+    transitions go through slot c of the mapping: a request byte sends
+    them and an ack byte comes back once `learn` has returned (see `_poll`
+    for how each side waits). The engine waits for cell c's ack before
+    cell c decides again, so each agent trains on the same transitions, in
+    the same order, as in-process.
+
+    A learner error is sent back, with its formatted traceback, in place
+    of an ack, and raised here when its ack is due. The learner exits on
+    EOF of its request pipe; `close` kills and reaps it. Building one
+    raises OSError, with no pipe left open and the weights back in place,
+    when no mapping, pipe or process can be had; the agents then train
+    in-process.
+    """
+
+    def __init__(self, agents, n_rbg):
+        self.agents = agents
+        n = len(agents)
+        obs_dim, n_actions = agents[0].actor.input_dim, agents[0].n_actions
+        params = [arrays for agent in agents
+                  for net in (agent.actor, agent.critic)
+                  for arrays in (net.weights, net.biases)]
+        shared = _shared_arrays(
+            [(a.shape, a.dtype) for arrays in params for a in arrays]
+            + [((n, n_rbg, obs_dim), float), ((n, n_rbg, obs_dim), float),
+               ((n, n_rbg), np.int64), ((n, n_rbg), float),
+               ((n, n_rbg), bool), ((n, n_rbg), bool),
+               ((n, n_rbg, n_actions), bool), ((n,), np.int64),
+               ((n,), np.int64), ((n,), np.int64), ((2,), np.int64)])
+        self.moved = []   # (list, index, the agent's own array)
+        for arrays in params:
+            for i, a in enumerate(arrays):
+                arrays[i] = shared.pop(0)
+                arrays[i][...] = a
+                self.moved.append((arrays, i, a))
+        # order: the cell of each request, as a ring; counts: requests sent
+        # and acks sent, which the waiting side polls before it blocks
+        (self.obs, self.next_obs, self.action, self.reward, self.terminal,
+         self.masked, self.mask, self.size, self.updates, self.order,
+         self.counts) = shared
+        self.sent = self.received = 0
+        self.pending = deque()            # cells with a `learn` not acked
+        self.outstanding = [False] * n
+
+        fds = []
+        try:
+            fds.extend(os.pipe())
+            fds.extend(os.pipe())
+            req_r, self.req_w, self.ack_r, ack_w = fds
+            self.pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            self._move_back()
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(self.req_w)
+                os.close(self.ack_r)
+                self._serve(req_r, ack_w)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(req_r)
+        os.close(ack_w)   # EOF on ack_r once the learner is gone
+
+    # ---------------------------------------------------- learner process
+
+    def _serve(self, req_r, ack_w):
+        n, done = len(self.agents), 0
+        while True:
+            _poll(self.counts, 0, done)
+            requests = os.read(req_r, 4096)
+            if not requests:
+                return
+            for _ in requests:
+                c = int(self.order[done % n])
+                done += 1
+                try:
+                    self.agents[c].learn(self._transitions(c))
+                except Exception as e:   # raised again in the main process
+                    import pickle
+                    import traceback   # only a failing learner needs them
+                    reply = b"\1" + pickle.dumps((e, traceback.format_exc()))
+                    while reply:
+                        reply = reply[os.write(ack_w, reply):]
+                    return
+                self.updates[c] = self.agents[c].update_count
+                os.write(ack_w, b"\0")
+                self.counts[1] = done
+
+    def _transitions(self, c):
+        k = int(self.size[c])
+        obs, next_obs, mask = self.obs[c], self.next_obs[c], self.mask[c]
+        return [TransitionRecord(obs=obs[j], action_index=a, reward=r,
+                                 next_obs=next_obs[j], terminal=end,
+                                 mask=mask[j] if masked else None)
+                for j, (a, r, end, masked) in enumerate(zip(
+                    self.action[c, :k].tolist(), self.reward[c, :k].tolist(),
+                    self.terminal[c, :k].tolist(),
+                    self.masked[c, :k].tolist()))]
+
+    # ------------------------------------------------------- main process
+
+    def submit(self, c, transitions):
+        """Cell c's `learn`: write the transitions to its slot and send a
+        request. A cell that made no decision submits nothing."""
+        k = len(transitions)
+        if not k:
+            return
+        self.size[c] = k
+        self.obs[c, :k] = [t.obs for t in transitions]
+        self.next_obs[c, :k] = [t.next_obs for t in transitions]
+        self.action[c, :k] = [t.action_index for t in transitions]
+        self.reward[c, :k] = [t.reward for t in transitions]
+        self.terminal[c, :k] = [t.terminal for t in transitions]
+        for j, t in enumerate(transitions):
+            self.masked[c, j] = t.mask is not None
+            if t.mask is not None:
+                self.mask[c, j] = t.mask
+        self.order[self.sent % len(self.agents)] = c
+        self.sent += 1
+        self.pending.append(c)
+        self.outstanding[c] = True
+        try:
+            os.write(self.req_w, b"\0")
+        except BrokenPipeError:
+            self.wait_all()   # raises: the learner is gone
+        self.counts[0] = self.sent
+
+    def wait(self, c):
+        """Return once cell c's last `learn` has returned."""
+        while self.outstanding[c]:
+            self._ack()
+
+    def wait_all(self):
+        while self.pending:
+            self._ack()
+
+    def _ack(self):
+        _poll(self.counts, 1, self.received)
+        ack = os.read(self.ack_r, 1)
+        if ack == b"\0":
+            self.received += 1
+            c = self.pending.popleft()
+            self.outstanding[c] = False
+            self.agents[c].update_count = int(self.updates[c])
+            return
+        self.pending.clear()
+        self.outstanding = [False] * len(self.agents)
+        if not ack:
+            pid = self.pid
+            raise RuntimeError(f"learner process {pid} exited with code "
+                               f"{self._reap()} before reporting")
+        import pickle   # only a failing learner's reply needs it
+        chunks = []
+        while chunk := os.read(self.ack_r, 1 << 16):
+            chunks.append(chunk)
+        error, remote_tb = pickle.loads(b"".join(chunks))
+        error.__cause__ = RuntimeError(remote_tb)
+        raise error
+
+    def _reap(self):
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        return os.waitstatus_to_exitcode(status)
+
+    def close(self):
+        """Kill and reap the learner and move the weights back."""
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            self._reap()
+        os.close(self.req_w)
+        os.close(self.ack_r)
+        self._move_back()
+        _keep_heap_holes(sum(a.nbytes for _, _, a in self.moved))
+
+    def _move_back(self):
+        for arrays, i, original in self.moved:
+            original[...] = arrays[i]
+            arrays[i] = original
 
 
 @dataclass
@@ -330,6 +611,20 @@ def _usable_cpus():
         return len(os.sched_getaffinity(0))
     except AttributeError:   # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _offload_training(cfg, cpus):
+    """Whether the batch's run trains in a learner process: only where
+    that was measured faster, one run with a second usable CPU (see
+    BENCH_17.json; `_usable_cpus` sees no CPU quota). A wrapped training
+    method (`__wrapped__`, as `functools.wraps` leaves it) counts or times
+    its calls in the process that makes them, so such a run trains
+    in-process, where those records are kept.
+    """
+    wrapped = any(hasattr(getattr(A2cAgent, name), "__wrapped__")
+                  for name in ("learn", "update_critic", "update_actor"))
+    return (cfg.runs == 1 and cpus >= 2 and cfg.sched.training
+            and hasattr(os, "fork") and not wrapped)
 
 
 def _run_lane(cfg, run_indices, conn):
@@ -366,11 +661,14 @@ def _run_ledgers(cfg: SimConfig):
 
     Runs are spread over lanes = min(runs, usable CPUs): run i goes to lane
     i mod lanes, this process runs lane 0 and each other lane is a forked
-    child. A run computes the same ledger in any process, and the first
-    failing run's error is raised, as in a serial loop. No child outlives
-    the call.
+    child. A one-run batch with a second usable CPU trains its scheduler
+    agents in a learner process (`_Learner`; see `_offload_training`). A
+    run computes the same ledger in any process, and the first failing
+    run's error is raised, as in a serial loop. No child outlives the call.
     """
-    lanes = min(cfg.runs, _usable_cpus())
+    cpus = _usable_cpus()
+    lanes = min(cfg.runs, cpus)
+    learner = _offload_training(cfg, cpus)
     if lanes > 1:
         # imported here so that a one-lane batch costs no memory for it
         import multiprocessing
@@ -393,7 +691,8 @@ def _run_ledgers(cfg: SimConfig):
         failed, error = cfg.runs, None
         for i in range(0, cfg.runs, lanes):
             try:
-                ledgers[i] = Simulation(cfg, run_index=i).run()
+                ledgers[i] = Simulation(cfg, run_index=i,
+                                        learner=learner).run()
             except Exception as e:   # raised below, unless an earlier run failed
                 failed, error = i, e
                 break

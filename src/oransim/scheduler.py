@@ -151,13 +151,15 @@ def build_observation(grid: ObservationGrid, rbg):
     return grid.features.flatten()
 
 
-def schedule_tti(agent: A2cAgent, ctx: CellTti, cfg: SchedulerConfig, rng):
+def schedule_tti(agent: A2cAgent, ctx: CellTti, cfg: SchedulerConfig, rng,
+                 learn=None):
     """Assign each RBG of the TTI and train the agent on the transitions.
 
     Decisions bootstrap within the TTI: each transition's next state is
     the following offered RBG's observation and the last one is terminal.
     Training runs after the decision loop: one `learn` call takes the
     steps in decision order, critic first, and writes each layer once.
+    `learn` is where that call runs: `agent.learn` unless given.
     """
     n_rbg = ctx.cell.n_rbg
     allocation = np.full(n_rbg, UNASSIGNED, dtype=int)
@@ -210,6 +212,6 @@ def schedule_tti(agent: A2cAgent, ctx: CellTti, cfg: SchedulerConfig, rng):
         transitions[-1].terminal = True
 
     if cfg.training:
-        agent.learn(transitions)
+        (learn or agent.learn)(transitions)
 
     return TtiSchedule(allocation=allocation, granted_bits=granted)

@@ -26,3 +26,16 @@ def test_compare_modes_prints_every_mode_and_the_placement_split(
         assert f"running {mode} (1 runs x 20 TTIs)" in out
         assert f"  mode {mode}\n" in out
     assert "placement DU/CU: " in out
+
+
+def test_compare_modes_prints_na_for_a_tail_without_a_placement_epoch(
+        capsys, monkeypatch):
+    # desk_fixed places every 5 TTIs: the tail of a 5-TTI run, TTIs 2..5,
+    # holds no placement epoch
+    script = load_script("compare_modes")
+    monkeypatch.setattr(sys, "argv", [
+        "compare_modes.py", "--config",
+        os.path.join(ROOT, "configs", "desk_fixed.conf"),
+        "--ttis", "5", "--runs", "1"])
+    script.main()
+    assert "placement DU/CU: n/a\n" in capsys.readouterr().out

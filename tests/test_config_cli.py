@@ -5,6 +5,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oransim import cli
 from oransim.cli import main
 from oransim.config import (
     KEY_SPECS,
@@ -322,6 +323,33 @@ def test_run_writes_manifest_and_metric_files(capsys, tmp_path):
     assert manifest["duration_seconds"] > 0
     # config echo reproduces the exact resolved config
     assert parse_config_text(manifest["config"]).runs == 2
+
+
+@pytest.mark.parametrize("writer", [cli.write_rows_csv, cli.write_rows_json])
+def test_a_writer_that_raises_mid_file_leaves_no_partial_file(tmp_path, writer):
+    path = tmp_path / "aggregate.out"
+    good = {col: 1.0 for col in CSV_HEADER}
+    with pytest.raises(KeyError):
+        writer([good, good, {}], str(path))   # the third row has no columns
+    assert os.listdir(tmp_path) == []
+    # a failed rewrite leaves the complete earlier file as it was
+    writer([good], str(path))
+    before = path.read_bytes()
+    with pytest.raises(KeyError):
+        writer([good, {}], str(path))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["aggregate.out"]
+
+
+def test_a_manifest_that_fails_mid_file_leaves_no_partial_file(
+        tmp_path, monkeypatch):
+    def half_dump(obj, fh, **kwargs):
+        fh.write('{"version": ')
+        raise OSError("disk full")
+    monkeypatch.setattr(cli.json, "dump", half_dump)
+    with pytest.raises(OSError, match="disk full"):
+        cli.write_manifest(str(tmp_path), SimConfig(), duration_s=1.0)
+    assert os.listdir(tmp_path) == []
 
 
 def test_zero_tti_run_emits_header_only_files(capsys, tmp_path):
