@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Run the dynamic placement policy against both pinned baselines on a
 desk-scale preset and print converged-tail metrics per traffic class.
+A config error exits 2 before any run, as `oransim run` does.
 
 Usage:
     python scripts/compare_modes.py [--config configs/desk_fixed.conf]
@@ -13,7 +14,15 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from oransim.config import SimConfig, copy_config, parse_config_file, set_key
+from oransim.cli import EXIT_CONFIG
+from oransim.config import (
+    ConfigError,
+    SimConfig,
+    copy_config,
+    parse_config_file,
+    set_key,
+    validate_config,
+)
 from oransim.engine import run_batch
 from oransim.metrics import tail_summary
 from oransim.placement import relocation_ratio
@@ -28,16 +37,24 @@ def main():
     ap.add_argument("--seed", type=int)
     args = ap.parse_args()
 
-    base = parse_config_file(args.config, base=SimConfig())
-    for key, val in (("sim.runs", args.runs), ("sim.ttis", args.ttis),
-                     ("sim.seed", args.seed)):
-        if val is not None:
-            set_key(base, key, str(val))
+    configs = {}
+    try:
+        base = parse_config_file(args.config, base=SimConfig())
+        for key, val in (("sim.runs", args.runs), ("sim.ttis", args.ttis),
+                         ("sim.seed", args.seed)):
+            if val is not None:
+                set_key(base, key, str(val))
+        for mode in ("nf-du", "nf-cu", "dscd"):
+            configs[mode] = copy_config(base)
+            configs[mode].mode = mode
+            validate_config(configs[mode])
+    except ConfigError as e:
+        key = f" (key: {e.key})" if e.key else ""
+        print(f"config error: {e}{key}", file=sys.stderr)
+        return EXIT_CONFIG
 
     results = {}
-    for mode in ("nf-du", "nf-cu", "dscd"):
-        cfg = copy_config(base)
-        cfg.mode = mode
+    for mode, cfg in configs.items():
         print(f"running {mode} ({cfg.runs} runs x {cfg.ttis} TTIs)...",
               flush=True)
         results[mode] = run_batch(cfg)
@@ -67,4 +84,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

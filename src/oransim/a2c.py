@@ -130,17 +130,6 @@ def resolve_mode(action_mode, training):
     return action_mode
 
 
-@dataclass
-class TransitionRecord:
-    """One (O_t, a_t, R_t, O_{t+1}) step, plus the action mask in effect."""
-    obs: np.ndarray
-    action_index: int
-    reward: float
-    next_obs: np.ndarray
-    terminal: bool = False
-    mask: np.ndarray | None = None
-
-
 class _PendingSteps:
     """Clipped ascent steps on one net, held back as low-rank factors.
 
@@ -151,29 +140,22 @@ class _PendingSteps:
     weights through these corrections; `write` adds them to the stored
     parameters, once per layer.
 
-    Layer 0's inputs are the transitions' observations, known up front:
-    each transition owns `width` consecutive rows, t.obs and (width 2)
-    t.next_obs. Their pre-activations come from one GEMM with the stored
-    weights, and their corrections from the rows' Gram matrix, so layer
-    0's matrix is not read per step.
+    Layer 0's inputs are known up front: step n owns the `width` rows of
+    `x` from width * n, its observation and (width 2) its next one.
+    Their pre-activations come from one GEMM with the stored weights, and
+    their corrections from the rows' Gram matrix, so layer 0's matrix is
+    not read per step.
     """
 
-    def __init__(self, net, transitions, width):
+    def __init__(self, net, x, width):
         self.net = net
         self.width = width
-        self._first = {id(t): width * n for n, t in enumerate(transitions)}
-        self._x = np.array([x for t in transitions
-                            for x in (t.obs, t.next_obs)[:width]],
-                           dtype=np.float64)
-        if self._x.ndim != 2 or self._x.shape[1] != net.input_dim:
-            raise ValueError(
-                f"inputs of shape {self._x.shape[1:]} do not match input "
-                f"dim {net.input_dim}")
-        self._z0 = self._x @ net.weights[0].T
+        self._x = x
+        self._z0 = x @ net.weights[0].T
         self._z0 += net.biases[0]
-        self._gram1 = self._x @ self._x.T
+        self._gram1 = x @ x.T
         self._gram1 += 1.0       # the bias input
-        max_steps = len(transitions)
+        max_steps = len(x) // width
         self._u = [np.empty((max_steps, w.shape[0])) for w in net.weights]
         self._v = [None] + [np.empty((max_steps, w.shape[1]))
                             for w in net.weights[1:]]
@@ -182,11 +164,11 @@ class _PendingSteps:
         self._g = np.empty((max_steps, len(self._x)))
         self.k = 0
 
-    def forward(self, t):
-        """Outputs of t's rows under the current weights, one row each, and
-        a cache from which `step` backpropagates t.obs."""
+    def forward(self, n):
+        """Outputs of step n's rows under the current weights, one row
+        each, and a cache from which `step` backpropagates its observation."""
         net = self.net
-        j = self._first[id(t)]
+        j = self.width * n
         rows = slice(j, j + self.width)
         k = self.k
         z = self._z0[rows]
@@ -301,16 +283,17 @@ class A2cAgent:
             probs = masked_probs(probs, mask)
         return probs
 
-    def update_critic(self, t: TransitionRecord, steps: _PendingSteps):
-        """Queue one semi-gradient step on the squared TD error in `steps`.
+    def update_critic(self, steps: _PendingSteps, n, reward, terminal):
+        """Queue one semi-gradient step on step n's squared TD error in
+        `steps`.
 
         The bootstrap target R + gamma*V(next) is held constant, so the
-        step is lr * delta * grad V(O_t); a terminal transition bootstraps
+        step is lr * delta * grad V(O_n); a terminal step bootstraps
         V = 0. Returns delta, computed before the step.
         """
-        out, cache = steps.forward(t)
-        v_next = 0.0 if t.terminal else float(out[1, 0])
-        delta = t.reward + self.gamma * v_next - float(out[0, 0])
+        out, cache = steps.forward(n)
+        v_next = 0.0 if terminal else float(out[1, 0])
+        delta = reward + self.gamma * v_next - float(out[0, 0])
         if delta == 0.0:
             return 0.0
         # the gradient delta * grad V already carries the TD-error factor;
@@ -319,43 +302,63 @@ class A2cAgent:
         self.update_count += 1
         return delta
 
-    def update_actor(self, t: TransitionRecord, delta, steps: _PendingSteps):
+    def update_actor(self, steps: _PendingSteps, n, action, delta, mask):
         """Queue the policy-gradient step theta += lr * delta * grad log
-        pi(a_t|O_t) in `steps`.
+        pi(a_n|O_n) in `steps`.
 
         For a (possibly masked) softmax policy the logit gradient of
         log pi(a) is onehot(a) - pi, with masked-out entries at zero.
         """
         if delta == 0.0:
             return
-        if not (0 <= t.action_index < self.n_actions):
-            raise ValueError(f"action index {t.action_index} out of range")
-        out, cache = steps.forward(t)
+        if not (0 <= action < self.n_actions):
+            raise ValueError(f"action index {action} out of range")
+        out, cache = steps.forward(n)
         probs = out[0]
-        if t.mask is not None:
-            probs = masked_probs(probs, t.mask)
+        if mask is not None:
+            probs = masked_probs(probs, mask)
         grad_logits = probs * (-delta)
-        grad_logits[t.action_index] += delta
+        grad_logits[action] += delta
         steps.step(cache, grad_logits, self.lr_actor, self.clip_norm)
         self.update_count += 1
 
-    def learn(self, transitions):
-        """One-step TD over `transitions` in order; returns the TD errors.
+    def learn(self, obs, actions, rewards, masks=None, bootstrap=None):
+        """One-step TD along a chain of K steps; returns the TD errors.
 
-        Takes update_critic then update_actor on each transition in turn,
-        each step on the weights the previous steps left, but every step
-        is held as low-rank factors and each layer of each net is written
-        once, at the end. A NumericsError leaves the parameters untouched.
+        Step n takes actions[n] in obs[n] for rewards[n], under the action
+        mask masks[n] if `masks` is given, and goes to obs[n + 1]; the last
+        step goes to `bootstrap`, or is terminal when that is None. Takes
+        update_critic then update_actor on each step in turn, each on the
+        weights the previous steps left, but every step is held as
+        low-rank factors and each layer of each net is written once, at
+        the end. Malformed inputs raise ValueError and a NumericsError
+        leaves the parameters untouched.
         """
-        transitions = list(transitions)
-        if not transitions:
+        obs = np.asarray(obs, dtype=np.float64)
+        k = len(obs)
+        if obs.shape != (k, self.actor.input_dim):
+            raise ValueError(f"observations of shape {obs.shape} do not match "
+                             f"input dim {self.actor.input_dim}")
+        if len(actions) != k or len(rewards) != k or (
+                masks is not None and len(masks) != k):
+            raise ValueError(f"{k} observations need as many actions, "
+                             f"rewards and masks")
+        if not k:
             return []
-        critic_steps = _PendingSteps(self.critic, transitions, 2)
-        actor_steps = _PendingSteps(self.actor, transitions, 1)
+        # the critic's rows: (obs[n], next obs) per step; a terminal
+        # step's next row is its own, and its value is not read
+        x = np.empty((2 * k, obs.shape[1]))
+        x[0::2] = obs
+        x[1:-1:2] = obs[1:]
+        x[-1] = obs[-1] if bootstrap is None else bootstrap
+        critic_steps = _PendingSteps(self.critic, x, 2)
+        actor_steps = _PendingSteps(self.actor, obs, 1)
         deltas = []
-        for t in transitions:
-            delta = self.update_critic(t, critic_steps)
-            self.update_actor(t, delta, actor_steps)
+        for n in range(k):
+            terminal = n == k - 1 and bootstrap is None
+            delta = self.update_critic(critic_steps, n, rewards[n], terminal)
+            self.update_actor(actor_steps, n, actions[n], delta,
+                              None if masks is None else masks[n])
             deltas.append(delta)
         critic_steps.write()
         actor_steps.write()

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .a2c import A2cAgent, TransitionRecord
+from .a2c import A2cAgent
 from .config import SimConfig, validate_config
 from .metrics import MetricsLedger, aggregate_rows, ledger_rows
 from .placement import (
@@ -410,12 +410,12 @@ class _Learner:
     During the run the agents' weights live in a shared mapping, so the
     learner's in-place writes are the weights the main process decides
     with; `close` moves them back into the agents' own arrays, which a
-    later fork of this process copies rather than shares. Cell c's
-    transitions go through slot c of the mapping: a request byte sends
-    them and an ack byte comes back once `learn` has returned (see `_poll`
-    for how each side waits). The engine waits for cell c's ack before
-    cell c decides again, so each agent trains on the same transitions, in
-    the same order, as in-process.
+    later fork of this process copies rather than shares. Cell c's chain
+    of steps (`A2cAgent.learn`'s arrays) goes through slot c of the
+    mapping: a request byte sends it and an ack byte comes back once
+    `learn` has returned (see `_poll` for how each side waits). The engine
+    waits for cell c's ack before cell c decides again, so each agent
+    trains on the same steps, in the same order, as in-process.
 
     A learner error is sent back, with its formatted traceback, in place
     of an ack, and raised here when its ack is due. The learner exits on
@@ -434,11 +434,10 @@ class _Learner:
                   for arrays in (net.weights, net.biases)]
         shared = _shared_arrays(
             [(a.shape, a.dtype) for arrays in params for a in arrays]
-            + [((n, n_rbg, obs_dim), float), ((n, n_rbg, obs_dim), float),
-               ((n, n_rbg), np.int64), ((n, n_rbg), float),
-               ((n, n_rbg), bool), ((n, n_rbg), bool),
-               ((n, n_rbg, n_actions), bool), ((n,), np.int64),
-               ((n,), np.int64), ((n,), np.int64), ((2,), np.int64)])
+            + [((n, n_rbg, obs_dim), float), ((n, n_rbg), np.int64),
+               ((n, n_rbg), float), ((n, n_rbg, n_actions), bool),
+               ((n,), bool), ((n,), np.int64), ((n,), np.int64),
+               ((n,), np.int64), ((2,), np.int64)])
         self.moved = []   # (list, index, the agent's own array)
         for arrays in params:
             for i, a in enumerate(arrays):
@@ -447,9 +446,8 @@ class _Learner:
                 self.moved.append((arrays, i, a))
         # order: the cell of each request, as a ring; counts: requests sent
         # and acks sent, which the waiting side polls before it blocks
-        (self.obs, self.next_obs, self.action, self.reward, self.terminal,
-         self.masked, self.mask, self.size, self.updates, self.order,
-         self.counts) = shared
+        (self.obs, self.action, self.reward, self.mask, self.masked,
+         self.size, self.updates, self.order, self.counts) = shared
         self.sent = self.received = 0
         self.pending = deque()            # cells with a `learn` not acked
         self.outstanding = [False] * n
@@ -488,9 +486,13 @@ class _Learner:
                 return
             for _ in requests:
                 c = int(self.order[done % n])
+                k = int(self.size[c])
                 done += 1
                 try:
-                    self.agents[c].learn(self._transitions(c))
+                    self.agents[c].learn(
+                        self.obs[c, :k], self.action[c, :k],
+                        self.reward[c, :k],
+                        self.mask[c, :k] if self.masked[c] else None)
                 except Exception as e:   # raised again in the main process
                     import pickle
                     import traceback   # only a failing learner needs them
@@ -502,35 +504,19 @@ class _Learner:
                 os.write(ack_w, b"\0")
                 self.counts[1] = done
 
-    def _transitions(self, c):
-        k = int(self.size[c])
-        obs, next_obs, mask = self.obs[c], self.next_obs[c], self.mask[c]
-        return [TransitionRecord(obs=obs[j], action_index=a, reward=r,
-                                 next_obs=next_obs[j], terminal=end,
-                                 mask=mask[j] if masked else None)
-                for j, (a, r, end, masked) in enumerate(zip(
-                    self.action[c, :k].tolist(), self.reward[c, :k].tolist(),
-                    self.terminal[c, :k].tolist(),
-                    self.masked[c, :k].tolist()))]
-
     # ------------------------------------------------------- main process
 
-    def submit(self, c, transitions):
-        """Cell c's `learn`: write the transitions to its slot and send a
-        request. A cell that made no decision submits nothing."""
-        k = len(transitions)
-        if not k:
-            return
+    def submit(self, c, obs, actions, rewards, masks):
+        """Cell c's `learn`: write the chain to its slot and send a
+        request."""
+        k = len(obs)
         self.size[c] = k
-        self.obs[c, :k] = [t.obs for t in transitions]
-        self.next_obs[c, :k] = [t.next_obs for t in transitions]
-        self.action[c, :k] = [t.action_index for t in transitions]
-        self.reward[c, :k] = [t.reward for t in transitions]
-        self.terminal[c, :k] = [t.terminal for t in transitions]
-        for j, t in enumerate(transitions):
-            self.masked[c, j] = t.mask is not None
-            if t.mask is not None:
-                self.mask[c, j] = t.mask
+        self.obs[c, :k] = obs
+        self.action[c, :k] = actions
+        self.reward[c, :k] = rewards
+        self.masked[c] = masks is not None
+        if masks is not None:
+            self.mask[c, :k] = masks
         self.order[self.sent % len(self.agents)] = c
         self.sent += 1
         self.pending.append(c)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .a2c import A2cAgent, TransitionRecord, resolve_mode, select_action
+from .a2c import A2cAgent, resolve_mode, select_action
 from .traffic import CLASS_ORDER
 
 LOCATION_DU = 0
@@ -125,8 +125,8 @@ class PlacementController:
             raise ValueError("dynamic placement needs an agent")
         start = forced if forced is not None else LOCATION_DU
         self.locations = [start] * n_dus
-        # per DU: last epoch's decision, awaiting its reward and next obs
-        self._open: dict[int, TransitionRecord] = {}
+        # per DU: last epoch's (obs, action), awaiting its reward and next obs
+        self._open: dict[int, tuple] = {}
         self._samples = [[] for _ in self.du_ids]
 
     def age_offset_ms(self, du_id):
@@ -164,19 +164,19 @@ class PlacementController:
                     mix, self.locations[du], cu_fraction)
                 last = self._open.pop(du, None)
                 if last is not None and self.cfg.training:
-                    last.reward = epoch_reward(
+                    last_obs, last_action = last
+                    reward = epoch_reward(
                         self._samples[du], self.locations[du],
                         self.cfg.tau, self.cfg.lam)
-                    last.next_obs = obs
-                    self.agent.learn([last])
+                    self.agent.learn([last_obs], [last_action], [reward],
+                                     bootstrap=obs)
                 probs = self.agent.action_distribution(obs)
                 mode = resolve_mode(self.cfg.action_mode, self.cfg.training)
                 action = select_action(probs, mode, self.rng)
                 applied = action
                 if self.cfg.pin is not None:
                     applied = LOCATION_NAMES.index(self.cfg.pin)
-                self._open[du] = TransitionRecord(
-                    obs=obs, action_index=action, reward=0.0, next_obs=obs)
+                self._open[du] = (obs, action)
             self._samples[du] = []
             self.locations[du] = applied
             events.append(PlacementEvent(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .a2c import A2cAgent, TransitionRecord, resolve_mode, select_action
+from .a2c import A2cAgent, resolve_mode, select_action
 from .ran import Cell, UNASSIGNED, rbg_capacity
 
 N_SLOT_FEATURES = 5
@@ -139,27 +139,28 @@ class ObservationGrid:
             return
         self.features[slot] = 0.0
         self.cqi[slot] = 0.0
-        # a new mask: earlier transitions keep the one they were taken under
+        # a new mask: earlier steps keep the one they were taken under
         self.valid = self.valid.copy()
         self.valid[slot] = False
 
 
 def build_observation(grid: ObservationGrid, rbg):
     """Feature vector for one RBG decision; all entries in [0, 1]. A fresh
-    array each call: the decision's transition keeps it."""
+    array each call: the TTI's chain of steps keeps it."""
     grid.features[:, 0] = grid.cqi[:, rbg]
     return grid.features.flatten()
 
 
 def schedule_tti(agent: A2cAgent, ctx: CellTti, cfg: SchedulerConfig, rng,
                  learn=None):
-    """Assign each RBG of the TTI and train the agent on the transitions.
+    """Assign each RBG of the TTI and train the agent on the decisions.
 
-    Decisions bootstrap within the TTI: each transition's next state is
-    the following offered RBG's observation and the last one is terminal.
-    Training runs after the decision loop: one `learn` call takes the
-    steps in decision order, critic first, and writes each layer once.
-    `learn` is where that call runs: `agent.learn` unless given.
+    The decisions form one chain (see `A2cAgent.learn`): each one's next
+    state is the following offered RBG's observation and the last one is
+    terminal. Training runs after the decision loop: one `learn` call
+    takes the steps in decision order, critic first, and writes each
+    layer once; a cell that made no decision makes no call. `learn` is
+    where that call runs: `agent.learn` unless given.
     """
     n_rbg = ctx.cell.n_rbg
     allocation = np.full(n_rbg, UNASSIGNED, dtype=int)
@@ -171,7 +172,7 @@ def schedule_tti(agent: A2cAgent, ctx: CellTti, cfg: SchedulerConfig, rng,
                  for ue in slot_ues if ue is not None}
     grid = ObservationGrid(ctx, slot_ues, uncovered, cfg)
     granted = {}
-    transitions = []
+    obs_rows, actions, rewards, masks = [], [], [], []
     mode = resolve_mode(cfg.action_mode, cfg.training)
 
     for rbg in range(n_rbg):
@@ -202,16 +203,13 @@ def schedule_tti(agent: A2cAgent, ctx: CellTti, cfg: SchedulerConfig, rng,
             # only reachable with masking off: the RBG is wasted
             reward = 0
 
-        if transitions:
-            transitions[-1].next_obs = obs
-        transitions.append(TransitionRecord(
-            obs=obs, action_index=action, reward=float(reward),
-            next_obs=obs, mask=mask))
+        obs_rows.append(obs)
+        actions.append(action)
+        rewards.append(reward)
+        masks.append(mask)
 
-    if transitions:
-        transitions[-1].terminal = True
-
-    if cfg.training:
-        (learn or agent.learn)(transitions)
+    if cfg.training and obs_rows:
+        (learn or agent.learn)(obs_rows, actions, rewards,
+                               masks if cfg.masking else None)
 
     return TtiSchedule(allocation=allocation, granted_bits=granted)

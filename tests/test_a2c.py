@@ -1,5 +1,6 @@
 import copy
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from oransim.a2c import (
     A2cAgent,
     FeedForwardNet,
     NumericsError,
-    TransitionRecord,
     masked_probs,
     select_action,
     softmax,
@@ -85,9 +85,24 @@ def value(net, x):
     return float(net.forward(x)[0])
 
 
+# one step of a `learn` chain, as the reference code reads it
+Step = namedtuple("Step", "obs action reward next_obs terminal mask")
+
+
+def chain_steps(obs, actions, rewards, masks=None, bootstrap=None):
+    """The steps of a `learn` chain: step n goes from obs[n] to obs[n + 1],
+    the last one to `bootstrap`, or it is terminal when that is None."""
+    k = len(obs)
+    return [Step(obs[n], actions[n], rewards[n],
+                 obs[n + 1] if n + 1 < k else bootstrap,
+                 n + 1 == k and bootstrap is None,
+                 None if masks is None else masks[n])
+            for n in range(k)]
+
+
 def td_error(agent, t):
     """R_t + gamma * V(O_{t+1}) - V(O_t) on the current weights; a terminal
-    transition bootstraps V = 0."""
+    step bootstraps V = 0."""
     v_next = 0.0 if t.terminal else value(agent.critic, t.next_obs)
     return t.reward + agent.gamma * v_next - value(agent.critic, t.obs)
 
@@ -106,7 +121,7 @@ def forward_trace(net, x):
 def reference_step(net, activations, grad_logits, lr, clip_norm):
     """Fused backprop plus clipped ascent, written into the net at once.
 
-    The per-transition update `A2cAgent.learn` defers: one rank-1 write
+    The per-step update `A2cAgent.learn` defers: one rank-1 write
     per layer per step, norms from ||outer(d, a)||_F = ||d||*||a||.
     `activations` come from `forward_trace`. Returns whether the clip
     fired.
@@ -131,12 +146,12 @@ def reference_step(net, activations, grad_logits, lr, clip_norm):
     return clipped
 
 
-def sequential_learn(agent, transitions):
-    """Reference one-step TD: critic then actor step per transition, each
-    on the weights the previous step wrote. Returns (deltas, clip hits)."""
+def sequential_learn(agent, steps):
+    """Reference one-step TD: critic then actor step per `Step`, each on
+    the weights the previous step wrote. Returns (deltas, clip hits)."""
     deltas = []
     clips = 0
-    for t in transitions:
+    for t in steps:
         delta = td_error(agent, t)
         deltas.append(delta)
         if delta == 0.0:
@@ -148,31 +163,31 @@ def sequential_learn(agent, transitions):
         if t.mask is not None:
             probs = masked_probs(probs, t.mask)
         grad_logits = probs * (-delta)
-        grad_logits[t.action_index] += delta
+        grad_logits[t.action] += delta
         clips += reference_step(agent.actor, activations, grad_logits,
                                 agent.lr_actor, agent.clip_norm)
         agent.update_count += 2
     return deltas, clips
 
 
-def applied_step(agent, transitions):
-    """`agent.learn(transitions)`: its TD errors and the change it made to
+def applied_step(agent, *chain, **kw):
+    """`agent.learn(*chain, **kw)`: its TD errors and the change it made to
     each net's packed parameters, (actor, critic)."""
     before = [pack_params(agent.actor), pack_params(agent.critic)]
-    deltas = agent.learn(transitions)
+    deltas = agent.learn(*chain, **kw)
     return deltas, [pack_params(agent.actor) - before[0],
                     pack_params(agent.critic) - before[1]]
 
 
 def expected_step(agent, t, delta):
     """lr * delta * gradient by central differences, for the actor
-    (grad log pi(a_t|O_t), masked) and the critic (grad V(O_t)), each
-    clipped to the agent's clip_norm. Returns the (actor, critic) steps
-    and how many of them the clip scaled."""
+    (grad log pi(a_t|O_t), masked) and the critic (grad V(O_t)) of the
+    `Step` t, each clipped to the agent's clip_norm. Returns the (actor,
+    critic) steps and how many of them the clip scaled."""
     def log_prob(net, x):
         out = net.forward(x)
         p = out if t.mask is None else masked_probs(out, t.mask)
-        return math.log(p[t.action_index])
+        return math.log(p[t.action])
 
     steps, clips = [], 0
     for net, fn, lr in ((agent.actor, log_prob, agent.lr_actor),
@@ -187,11 +202,11 @@ def expected_step(agent, t, delta):
 
 
 def learn_with_delta(agent, obs, action, delta, mask=None):
-    """`learn` on one transition whose TD error is exactly `delta`: under
-    a zero critic a terminal transition's TD error is its reward."""
+    """`learn` on one step whose TD error is exactly `delta`: under a zero
+    critic a terminal step's TD error is its reward."""
     agent.critic = FeedForwardNet(agent.critic.layer_dims)
-    t = TransitionRecord(obs, action, delta, obs, terminal=True, mask=mask)
-    assert agent.learn([t]) == [delta]
+    masks = None if mask is None else [mask]
+    assert agent.learn([obs], [action], [delta], masks) == [delta]
 
 
 # ------------------------------------------------------------ forward pass
@@ -301,14 +316,13 @@ def test_td_error_arithmetic():
     nxt = np.array([0.5, 0.0])
     # R=1, gamma=0.9, V(next)=0.5, V(cur)=0.2 -> delta = 1.25
     agent = linear_value_agent(0.9)
-    assert agent.learn([TransitionRecord(cur, 0, 1.0, nxt)]) == [
+    assert agent.learn([cur], [0], [1.0], bootstrap=nxt) == [
         pytest.approx(1.25, abs=1e-15)]
 
     # terminal bootstraps V(next) = 0: R=1, V(cur)=1.0 -> delta = 0
     agent = linear_value_agent(0.9)
     one = np.array([1.0, 0.0])
-    t = TransitionRecord(one, 0, 1.0, nxt, terminal=True)
-    assert agent.learn([t]) == [pytest.approx(0.0, abs=1e-15)]
+    assert agent.learn([one], [0], [1.0]) == [pytest.approx(0.0, abs=1e-15)]
 
 
 def test_td_error_fixed_point_is_zero():
@@ -316,8 +330,8 @@ def test_td_error_fixed_point_is_zero():
     agent.critic = FeedForwardNet([2, 1])
     agent.critic.biases[0][:] = [0.7]
     agent.gamma = 1.0 - 1e-12  # gamma ~ 1 within the allowed range
-    t = TransitionRecord(np.zeros(2), 0, 0.0, np.zeros(2))
-    assert agent.learn([t]) == [pytest.approx(0.0, abs=1e-12)]
+    assert agent.learn([np.zeros(2)], [0], [0.0], bootstrap=np.zeros(2)) == [
+        pytest.approx(0.0, abs=1e-12)]
 
 
 def test_update_critic_zero_delta_leaves_params_bitwise():
@@ -326,7 +340,7 @@ def test_update_critic_zero_delta_leaves_params_bitwise():
     obs = np.array([0.5, 0.5, 0.5, 0.5])
     before = [p.copy() for p in params_of(agent)]
     # reward engineered so delta == 0: R = V(cur) - gamma*V(next) = 0 here
-    assert agent.learn([TransitionRecord(obs, 0, 0.0, obs)]) == [0.0]
+    assert agent.learn([obs], [0], [0.0], bootstrap=obs) == [0.0]
     for p, old in zip(params_of(agent), before):
         assert p.tobytes() == old.tobytes()
     assert agent.update_count == 0
@@ -348,7 +362,7 @@ def test_update_critic_linear_closed_form():
     delta = reward + 0.9 * v_next - v_cur
     w_expect = agent.critic.weights[0].copy() + 0.05 * delta * obs
     b_expect = 0.05 + 0.05 * delta
-    got = agent.learn([TransitionRecord(obs, 0, reward, nxt)])
+    got = agent.learn([obs], [0], [reward], bootstrap=nxt)
     assert got == [pytest.approx(delta, abs=1e-15)]
     assert np.max(np.abs(agent.critic.weights[0] - w_expect)) < 1e-12
     assert agent.critic.biases[0][0] == pytest.approx(b_expect, abs=1e-12)
@@ -367,8 +381,8 @@ def test_critic_converges_on_two_state_mdp():
     s0 = np.array([1.0, 0.0])
     s1 = np.array([0.0, 1.0])
     for _ in range(5000):
-        agent.learn([TransitionRecord(s0, 0, 1.0, s1)])
-        agent.learn([TransitionRecord(s1, 0, 0.0, s0)])
+        agent.learn([s0], [0], [1.0], bootstrap=s1)
+        agent.learn([s1], [0], [0.0], bootstrap=s0)
     assert value(agent.critic, s0) == pytest.approx(v_star[0], abs=1e-2)
     assert value(agent.critic, s1) == pytest.approx(v_star[1], abs=1e-2)
 
@@ -451,7 +465,7 @@ def test_single_linear_layer_gradient_is_outer_product():
     x = np.array([1.0, -2.0, 0.5])
     probs = agent.action_distribution(x)
     old = [p.copy() for p in params_of(agent)]
-    [delta] = agent.learn([TransitionRecord(x, 1, 0.75, x, terminal=True)])
+    [delta] = agent.learn([x], [1], [0.75])
     d_actor = agent.lr_actor * delta * (np.array([0.0, 1.0]) - probs)
     d_critic = np.array([agent.lr_critic * delta])
     want = [old[0] + np.outer(d_actor, x), old[1] + d_actor,
@@ -464,9 +478,7 @@ def test_zero_input_zero_bias_first_layer_weight_grads_vanish():
     agent = make_agent(seed=8, obs_dim=4, n_actions=2, actor_hidden=5,
                        critic_hidden=5)
     before = [net.weights[0].copy() for net in (agent.actor, agent.critic)]
-    deltas, steps = applied_step(
-        agent, [TransitionRecord(np.zeros(4), 1, 1.0, np.zeros(4),
-                                 terminal=True)])
+    deltas, steps = applied_step(agent, [np.zeros(4)], [1], [1.0])
     assert deltas[0] != 0.0 and all(np.any(s != 0.0) for s in steps)
     for net, old in zip((agent.actor, agent.critic), before):
         assert net.weights[0].tobytes() == old.tobytes()
@@ -478,48 +490,48 @@ def test_three_layer_backprop_matches_finite_differences():
         actor=FeedForwardNet([6, 9, 7, 3], rng, output_activation="softmax"),
         critic=FeedForwardNet([6, 9, 7, 1], rng), clip_norm=None)
     assert pack_params(agent.actor).size <= 1000
-    x = rng.uniform(-1, 1, size=6)
-    t = TransitionRecord(x, 1, 1.5, rng.uniform(-1, 1, size=6))
+    first = dict(obs=[rng.uniform(-1, 1, size=6)], actions=[1],
+                 rewards=[1.5], bootstrap=rng.uniform(-1, 1, size=6))
+    [t] = chain_steps(**first)
     reference = copy.deepcopy(agent)
     want, _ = expected_step(agent, t, td_error(agent, t))
-    _, got = applied_step(agent, [t])
+    _, got = applied_step(agent, **first)
     for g, w in zip(got, want):
         assert max_rel_error(g, w) < 1e-4
     # a chain of steps, each backpropagated through the pending ones
-    chain = random_transitions(agent, 5, True, 99, 6, 3)
-    want_deltas, _ = sequential_learn(reference, [t] + chain)
-    assert agent.learn(chain) == pytest.approx(want_deltas[1:], rel=1e-12,
-                                               abs=1e-12)
+    chain = random_chain(5, True, 99, 6, 3)
+    want_deltas, _ = sequential_learn(reference, [t] + chain_steps(**chain))
+    assert agent.learn(**chain) == pytest.approx(want_deltas[1:], rel=1e-12,
+                                                 abs=1e-12)
     assert_params_close(agent, reference)
 
 
 # ------------------------------------------------------- deferred learning
 
-def random_transitions(agent, k, masked, seed, obs_dim, n_actions):
-    """A TTI-shaped chain: each next_obs is the following obs, the last
-    transition terminal; one reward large enough to trip the clip, and
-    for k >= 2 a leading zero-observation transition whose reward equals
-    V(0), so its TD error is exactly zero."""
+def random_chain(k, masked, seed, obs_dim, n_actions):
+    """`learn`'s arguments for a TTI-shaped chain of k steps, the last one
+    terminal: one reward large enough to trip the clip, and for k >= 2 a
+    zero observation followed by a zero observation with reward 0. A fresh
+    agent's biases are zero, so V(0) = 0 and that step's TD error is
+    exactly zero."""
     rng = np.random.default_rng(seed)
-    obs = [rng.uniform(0, 1, size=obs_dim) for _ in range(k)]
-    out = []
-    for i in range(k):
-        mask = None
+    obs = rng.uniform(0, 1, size=(k, obs_dim))
+    actions, rewards, masks = [], [], []
+    for _ in range(k):
         if masked:
             mask = rng.random(n_actions) < 0.6
             mask[rng.integers(n_actions)] = True
-            action = int(rng.choice(np.flatnonzero(mask)))
+            masks.append(mask)
+            actions.append(int(rng.choice(np.flatnonzero(mask))))
         else:
-            action = int(rng.integers(n_actions))
-        nxt = obs[i + 1] if i + 1 < k else obs[i]
-        out.append(TransitionRecord(obs[i], action, float(rng.integers(0, 4)),
-                                    nxt, terminal=i + 1 == k, mask=mask))
-    out[-1].reward = 40.0
+            actions.append(int(rng.integers(n_actions)))
+        rewards.append(float(rng.integers(0, 4)))
+    rewards[-1] = 40.0
     if k >= 2:
-        zero = np.zeros(obs_dim)
-        out[0] = TransitionRecord(zero, 0, value(agent.critic, zero), obs[1],
-                                  terminal=True)
-    return out
+        obs[:2] = 0.0
+        rewards[0] = 0.0
+    return dict(obs=obs, actions=actions, rewards=rewards,
+                masks=masks if masked else None)
 
 
 def params_of(agent):
@@ -541,9 +553,9 @@ def test_learn_matches_sequential_updates(actor_hidden, critic_hidden, masked):
                            actor_hidden=actor_hidden,
                            critic_hidden=critic_hidden)
         reference = copy.deepcopy(agent)
-        ts = random_transitions(agent, k, masked, k, obs_dim, n_actions)
-        want_deltas, clips = sequential_learn(reference, ts)
-        got_deltas = agent.learn(ts)
+        chain = random_chain(k, masked, k, obs_dim, n_actions)
+        want_deltas, clips = sequential_learn(reference, chain_steps(**chain))
+        got_deltas = agent.learn(**chain)
         assert clips > 0
         if k >= 2:
             assert got_deltas[0] == 0.0 == want_deltas[0]
@@ -562,20 +574,22 @@ def test_learn_changes_parameters_by_lr_delta_gradient():
                            critic_hidden=8)
         obs = rng.uniform(-1, 1, size=6)
         nxt = rng.uniform(-1, 1, size=6)
-        mask = np.array([True, False, True, True]) if masked else None
-        t = TransitionRecord(obs, 2, reward, nxt, mask=mask)
+        masks = [np.array([True, False, True, True])] if masked else None
+        chain = dict(obs=[obs], actions=[2], rewards=[reward], masks=masks,
+                     bootstrap=nxt)
+        [t] = chain_steps(**chain)
         delta = td_error(agent, t)
         expected, clips = expected_step(agent, t, delta)
         clip_hits += clips
         reference = copy.deepcopy(agent)
         sequential_learn(reference, [t])
-        deltas, applied = applied_step(agent, [t])
+        deltas, applied = applied_step(agent, **chain)
         assert deltas == [pytest.approx(delta, rel=1e-12)]
         for got, want in zip(applied, expected):
             worst = max(worst, max_rel_error(got, want))
         assert agent.update_count == reference.update_count == 2
         assert_params_close(agent, reference)
-    assert clip_hits >= 2   # the large-reward transition clips both nets
+    assert clip_hits >= 2   # the large-reward step clips both nets
     assert worst < 1e-4
 
 
@@ -584,10 +598,9 @@ def test_learn_numerics_error_writes_nothing():
     agent.actor.weights[-1][0, 0] = np.nan
     before = [p.copy() for p in params_of(agent)]
     rng = np.random.default_rng(6)
-    obs = [rng.uniform(0, 1, size=4) for _ in range(3)]
-    ts = [TransitionRecord(o, 1, 1.0, o) for o in obs]
+    obs = rng.uniform(0, 1, size=(3, 4))
     with pytest.raises(NumericsError):
-        agent.learn(ts)
+        agent.learn(obs, [1, 1, 1], [1.0, 1.0, 1.0], bootstrap=obs[-1])
     for p, old in zip(params_of(agent), before):
         assert p.tobytes() == old.tobytes()
 
@@ -595,9 +608,30 @@ def test_learn_numerics_error_writes_nothing():
 def test_learn_on_no_transitions_is_a_noop():
     agent = make_agent(seed=8)
     before = [p.copy() for p in params_of(agent)]
-    assert agent.learn([]) == []
+    assert agent.learn(np.empty((0, 4)), [], []) == []
     for p, old in zip(params_of(agent), before):
         assert p.tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("obs", np.full((2, 5), 0.5)),      # observation width 5, input dim 4
+    ("actions", [0]),
+    ("rewards", [1.0, 2.0, 3.0]),
+    ("masks", np.ones((3, 3), dtype=bool)),
+], ids=["obs-width", "actions-length", "rewards-length", "masks-rows"])
+def test_learn_rejects_a_malformed_chain_before_writing(field, bad):
+    agent = make_agent(seed=12)
+    chain = dict(obs=np.full((2, 4), 0.5), actions=[0, 2],
+                 rewards=[1.0, 2.0], masks=np.ones((2, 3), dtype=bool))
+    trained = copy.deepcopy(agent)
+    trained.learn(**chain)
+    assert trained.update_count == 4   # the well-formed chain trains
+    agent.update_count = 7
+    before = [p.tobytes() for p in params_of(agent)]
+    with pytest.raises(ValueError):
+        agent.learn(**{**chain, field: bad})
+    assert [p.tobytes() for p in params_of(agent)] == before
+    assert agent.update_count == 7
 
 
 # ------------------------------------------------------- numerics and state
@@ -607,7 +641,7 @@ def test_non_finite_gradient_aborts():
     agent.critic.weights[0][0, 0] = np.nan
     obs = np.ones(4)
     with pytest.raises(NumericsError):
-        agent.learn([TransitionRecord(obs, 0, 1.0, obs)])
+        agent.learn([obs], [0], [1.0], bootstrap=obs)
 
 
 def test_gradient_clipping_caps_step_norm():
@@ -615,8 +649,7 @@ def test_gradient_clipping_caps_step_norm():
     agent.critic = FeedForwardNet([2, 1])
     x = np.array([30.0, 40.0])
     # delta = 100: the critic's gradient 100 * (30, 40, 1) is far over 10
-    _, (actor_step, critic_step) = applied_step(
-        agent, [TransitionRecord(x, 0, 100.0, x, terminal=True)])
+    _, (actor_step, critic_step) = applied_step(agent, [x], [0], [100.0])
     cap = agent.clip_norm
     assert np.linalg.norm(critic_step) == pytest.approx(
         agent.lr_critic * cap, rel=1e-12)
@@ -636,8 +669,7 @@ def test_identical_seeds_and_streams_give_bitwise_identical_params():
             nxt = rng.uniform(-1, 1, size=4)
             action = int(rng.integers(0, 3))
             reward = float(rng.uniform(0, 3))
-            t = TransitionRecord(obs, action, reward, nxt)
-            agent.learn([t])
+            agent.learn([obs], [action], [reward], bootstrap=nxt)
         return agent
 
     a = train(77)

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import sympy
 
-from oransim.a2c import A2cAgent, FeedForwardNet, TransitionRecord
+from oransim.a2c import A2cAgent, FeedForwardNet
 from oransim.cli import main as cli_main
 from oransim.config import SimConfig, parse_config_file, parse_config_text
 from oransim.engine import run_batch
@@ -36,6 +36,7 @@ from oransim.traffic import RlcQueue, make_flow
 
 from test_a2c import (
     applied_step,
+    chain_steps,
     expected_step,
     max_rel_error,
     pack_params,
@@ -68,10 +69,10 @@ def test_criterion_1_gradient_correctness():
 
         # the step `learn` applies to each net against lr * delta * grad by
         # central differences; terminal, so delta = 1 - V(obs)
-        t = TransitionRecord(obs, action, 1.0, obs, terminal=True)
+        [t] = chain_steps([obs], [action], [1.0])
         delta = td_error(agent, t)
         want, _ = expected_step(agent, t, delta)
-        deltas, got = applied_step(agent, [t])
+        deltas, got = applied_step(agent, [obs], [action], [1.0])
         assert abs(deltas[0] - delta) <= 1e-12 * max(abs(delta), 1.0)
         for g, w in zip(got, want):
             worst = max(worst, max_rel_error(g, w))
@@ -97,8 +98,8 @@ def test_criterion_2_critic_bellman_oracle():
     updates = 0
     err = float("inf")
     while updates < 100_000:
-        agent.learn([TransitionRecord(s0, 0, r01, s1)])
-        agent.learn([TransitionRecord(s1, 0, r10, s0)])
+        agent.learn([s0], [0], [r01], bootstrap=s1)
+        agent.learn([s1], [0], [r10], bootstrap=s0)
         updates += 2
         if updates % 2000 == 0:
             err = max(abs(value(agent.critic, s0) - v_star[0]),

@@ -1,6 +1,6 @@
 """Microbenchmarks of the A2C training path (pytest-benchmark).
 
-`learn` on K transitions against the per-transition reference update, on
+`learn` on a chain of K steps against the per-step reference update, on
 the reference operating point's agent: a 50 -> 900 -> 10 actor and a
 50 -> 100 -> 1 critic, and, for K = 8, one cell's `learn` through a forked
 learner process. Each case runs a fixed, small number of rounds so that
@@ -13,7 +13,7 @@ import pytest
 pytest.importorskip("pytest_benchmark")
 
 from oransim.engine import _Learner
-from test_a2c import make_agent, random_transitions, sequential_learn
+from test_a2c import chain_steps, make_agent, random_chain, sequential_learn
 
 OBS_DIM, N_ACTIONS = 50, 10
 ROUNDS = 15
@@ -26,11 +26,10 @@ def reference_agent(k):
 
 
 def run_rounds(benchmark, train, k, agent=None):
-    """One agent trained on fresh transitions each round, as a scheduler
-    agent is trained on each TTI's decisions."""
+    """One agent trained on a fresh chain each round, as a scheduler agent
+    is trained on each TTI's decisions."""
     agent = agent or reference_agent(k)
-    batches = iter([random_transitions(agent, k, True, seed, OBS_DIM,
-                                       N_ACTIONS)
+    batches = iter([random_chain(k, True, seed, OBS_DIM, N_ACTIONS)
                     for seed in range(WARMUP + ROUNDS)])
 
     def setup():
@@ -43,23 +42,25 @@ def run_rounds(benchmark, train, k, agent=None):
 @pytest.mark.parametrize("k", [1, 8])
 def test_bench_learn(benchmark, k):
     benchmark.group = f"a2c-train-k{k}"
-    run_rounds(benchmark, lambda agent, ts: agent.learn(ts), k)
+    run_rounds(benchmark, lambda agent, chain: agent.learn(**chain), k)
 
 
 @pytest.mark.parametrize("k", [1, 8])
 def test_bench_sequential_reference(benchmark, k):
     benchmark.group = f"a2c-train-k{k}"
-    run_rounds(benchmark, sequential_learn, k)
+    run_rounds(benchmark, lambda agent, chain: sequential_learn(
+        agent, chain_steps(**chain)), k)
 
 
 def test_bench_learner_round_trip(benchmark):
-    """Submit one K = 8 cell's transitions and wait for the ack."""
+    """Submit one K = 8 cell's chain and wait for the ack."""
     benchmark.group = "a2c-train-k8"
     agent = reference_agent(8)
     learner = _Learner([agent], 8)
 
-    def round_trip(_, transitions):
-        learner.submit(0, transitions)
+    def round_trip(_, chain):
+        learner.submit(0, chain["obs"], chain["actions"], chain["rewards"],
+                       chain["masks"])
         learner.wait(0)
     try:
         run_rounds(benchmark, round_trip, 8, agent)

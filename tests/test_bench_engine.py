@@ -3,9 +3,11 @@
 At the crowded-nfcu benchmark workload's shape (4 cells, 160 UEs, 30%
 vehicles, after 20 TTIs of queue build-up), each case times one TTI's
 channel update, one TTI's arrival draw and one cell's observation build,
-against the per-UE, per-queue and per-slot code they replace. Each case
-runs a fixed, small number of rounds so that the suite stays fast;
-compare the cases with `pytest tests/test_bench_engine.py --benchmark-only`.
+against the per-UE, per-queue and per-slot code they replace, and one
+TTI's RLC ops on every queue: `RlcQueue.serve` of a one-RBG grant and
+`RlcQueue.drop_expired`. Each case runs a fixed, small number of rounds
+so that the suite stays fast; compare the cases with
+`pytest tests/test_bench_engine.py --benchmark-only`.
 """
 
 import copy
@@ -17,7 +19,12 @@ pytest.importorskip("pytest_benchmark")
 
 from oransim.config import parse_config_file
 from oransim.engine import Simulation
-from oransim.ran import build_interference_view, compute_cqi, cqi_vector
+from oransim.ran import (
+    build_interference_view,
+    compute_cqi,
+    cqi_vector,
+    rbg_capacity,
+)
 from oransim.scheduler import (
     CellTti,
     ObservationGrid,
@@ -119,3 +126,34 @@ def test_bench_observation_per_slot_reference(benchmark, sim):
         for rbg in range(ctx.cell.n_rbg):
             oracle_observation(ctx, rbg, slots, uncovered, cfg)
     bench(benchmark, "scheduler-observation", per_slot)
+
+
+def bench_queues(benchmark, group, sim, work):
+    """Time `work(queues)` on a fresh copy of the warmed queues each round,
+    since the RLC ops change them."""
+    benchmark.group = group
+    benchmark.pedantic(work, setup=lambda: ((copy.deepcopy(sim.queues),), {}),
+                       rounds=ROUNDS, iterations=1, warmup_rounds=WARMUP)
+
+
+def test_bench_rlc_serve(benchmark, sim):
+    # one RBG at the UE's CQI on RBG 0 for every backlogged queue
+    grants = [(ue.ue_id, rbg_capacity(int(ue.cqi_per_rbg[0])),
+               sim.placement.age_offset_ms(ue.serving_cell_id))
+              for ue in sim.ues if len(sim.queues[ue.ue_id])]
+    assert grants
+
+    def serve(queues):
+        for ue_id, bits, extra in grants:
+            queues[ue_id].serve(bits, WARM_TTIS, extra)
+    bench_queues(benchmark, "traffic-rlc", sim, serve)
+
+
+def test_bench_rlc_drop_expired(benchmark, sim):
+    offsets = [(ue.ue_id, sim.placement.age_offset_ms(ue.serving_cell_id))
+               for ue in sim.ues]
+
+    def drop_expired(queues):
+        for ue_id, extra in offsets:
+            queues[ue_id].drop_expired(WARM_TTIS, extra)
+    bench_queues(benchmark, "traffic-rlc", sim, drop_expired)

@@ -1,6 +1,9 @@
 import importlib.util
 import os
+import subprocess
 import sys
+
+import pytest
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 
@@ -39,3 +42,19 @@ def test_compare_modes_prints_na_for_a_tail_without_a_placement_epoch(
         "--ttis", "5", "--runs", "1"])
     script.main()
     assert "placement DU/CU: n/a\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args, error", [
+    (["--runs", "0"],
+     "config error: sim.runs must be >= 1, got 0 (key: sim.runs)\n"),
+    (["--config", os.path.join(ROOT, "configs", "missing.conf")],
+     "config error: cannot read config file "),
+], ids=["runs-0", "missing-config"])
+def test_compare_modes_exits_2_on_a_config_error_before_any_run(args, error):
+    # as `oransim run` does: one line on stderr, no traceback
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "compare_modes.py"),
+         *args], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.startswith(error) and done.stderr.count("\n") == 1
+    assert done.stdout == ""

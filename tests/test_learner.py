@@ -189,7 +189,7 @@ def test_learner_exits_on_eof_of_its_request_pipe():
 def in_learner(action):
     """Replace A2cAgent.learn by `action`. In nf-du only the scheduler
     agents learn, and with a learner they learn in the learner only."""
-    def learn(self, transitions):
+    def learn(self, *args):
         action()
     return learn
 

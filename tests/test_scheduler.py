@@ -19,6 +19,8 @@ from oransim.scheduler import (
 )
 from oransim.traffic import CLASS_ORDER, Packet, RlcQueue, make_flow
 
+from test_a2c import chain_steps
+
 
 def toy_cell(n_rbg=2):
     return Cell(cell_id=0, position=(0.0, 0.0), n_rbg=n_rbg)
@@ -40,14 +42,14 @@ def make_agent(cfg, seed=0):
 
 
 def spy_learn(agent):
-    """Record the transitions of each `agent.learn` call; returns the list
-    of calls."""
+    """Record each `agent.learn` call as the steps of its chain (see
+    `chain_steps`); returns the list of calls."""
     calls = []
     learn = agent.learn
 
-    def spy(transitions):
-        calls.append(list(transitions))
-        return learn(transitions)
+    def spy(*chain):
+        calls.append(chain_steps(*chain))
+        return learn(*chain)
 
     agent.learn = spy
     return calls
@@ -242,7 +244,7 @@ def test_all_queues_empty_leaves_all_rbgs_unassigned():
     out = schedule_tti(agent, make_ctx(ues, queues), cfg,
                        np.random.default_rng(0))
     assert np.all(out.allocation == UNASSIGNED)
-    assert learned == [[]]
+    assert learned == []   # no decision, no call
 
 
 def test_single_backlogged_ue_gets_every_rbg():
@@ -256,9 +258,9 @@ def test_single_backlogged_ue_gets_every_rbg():
     ctx = make_ctx([ue], {0: q}, n_rbg=4)
     out = schedule_tti(agent, ctx, cfg, np.random.default_rng(1))
     assert np.all(out.allocation == 0)
-    [transitions] = learned
-    assert len(transitions) == 4
-    assert [t.terminal for t in transitions] == [False, False, False, True]
+    [steps] = learned
+    assert len(steps) == 4
+    assert [t.terminal for t in steps] == [False, False, False, True]
 
 
 def test_covered_demand_masks_remaining_rbgs():
@@ -333,9 +335,9 @@ def test_masking_disabled_wastes_rbgs_on_invalid_picks():
     out = schedule_tti(agent, make_ctx([ue], {1: q}, n_rbg=8), cfg, rng)
     # the near-uniform fresh policy picks empty slots ~3/4 of the time
     assert (out.allocation == UNASSIGNED).sum() > 0
-    [transitions] = learned
-    assert len(transitions) == 8  # every RBG still offered
-    for alloc, tr in zip(out.allocation.tolist(), transitions):
+    [steps] = learned
+    assert len(steps) == 8  # every RBG still offered
+    for alloc, tr in zip(out.allocation.tolist(), steps):
         if alloc == UNASSIGNED:
             assert tr.reward == 0.0
         else:
@@ -372,11 +374,11 @@ def test_rewards_in_range_and_aligned_with_transitions():
             q.push(Packet(2000, arrival_tti=0))
         queues[i] = q
     out = schedule_tti(agent, make_ctx(ues, queues, now=3, n_rbg=4), cfg, rng)
-    [transitions] = learned
-    assert len(transitions) == np.count_nonzero(out.allocation != UNASSIGNED)
-    for alloc, tr in zip(out.allocation.tolist(), transitions):
+    [steps] = learned
+    assert len(steps) == np.count_nonzero(out.allocation != UNASSIGNED)
+    for alloc, tr in zip(out.allocation.tolist(), steps):
         assert tr.reward in (0.0, 1.0, 2.0, 3.0)
-        assert tr.action_index == [0, 1, 2].index(alloc)   # slot i holds UE i
+        assert tr.action == [0, 1, 2].index(alloc)   # slot i holds UE i
 
 
 @settings(max_examples=30, deadline=None)
