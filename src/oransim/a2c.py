@@ -299,7 +299,6 @@ class A2cAgent:
         # the gradient delta * grad V already carries the TD-error factor;
         # the step size is just the lr
         steps.step(cache, np.array([delta]), self.lr_critic, self.clip_norm)
-        self.update_count += 1
         return delta
 
     def update_actor(self, steps: _PendingSteps, n, action, delta, mask):
@@ -320,7 +319,6 @@ class A2cAgent:
         grad_logits = probs * (-delta)
         grad_logits[action] += delta
         steps.step(cache, grad_logits, self.lr_actor, self.clip_norm)
-        self.update_count += 1
 
     def learn(self, obs, actions, rewards, masks=None, bootstrap=None):
         """One-step TD along a chain of K steps; returns the TD errors.
@@ -331,8 +329,8 @@ class A2cAgent:
         update_critic then update_actor on each step in turn, each on the
         weights the previous steps left, but every step is held as
         low-rank factors and each layer of each net is written once, at
-        the end. Malformed inputs raise ValueError and a NumericsError
-        leaves the parameters untouched.
+        the end. Malformed inputs raise ValueError; on any error the
+        parameters and `update_count` are left untouched.
         """
         obs = np.asarray(obs, dtype=np.float64)
         k = len(obs)
@@ -360,6 +358,8 @@ class A2cAgent:
             self.update_actor(actor_steps, n, actions[n], delta,
                               None if masks is None else masks[n])
             deltas.append(delta)
+        # one count per step written; a failed chain writes and counts none
+        self.update_count += critic_steps.k + actor_steps.k
         critic_steps.write()
         actor_steps.write()
         return deltas

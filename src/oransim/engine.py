@@ -14,6 +14,7 @@ import functools
 import math
 import mmap
 import os
+import pickle
 import signal
 import time
 from collections import deque
@@ -354,6 +355,74 @@ class Simulation:
             self._learner.wait_all()
 
 
+# --------------------------------------------------------- child processes
+
+class _Child:
+    """A forked process, and the read end of the pipe it reports on.
+
+    The child closes `parent_fds`, the parent's ends of its other pipes,
+    and runs `body(f)`, f being its pipe's binary write end. An exception
+    from `body` is pickled to f with its formatted traceback, which
+    pickling drops (see `_with_cause`). The child leaves through os._exit:
+    0 if `body` returned, else 1. Raises OSError, leaving no pipe open,
+    when no pipe or process can be had.
+    """
+
+    def __init__(self, what, body, parent_fds=()):
+        self.what = what
+        r, w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                for fd in (r, *parent_fds):
+                    os.close(fd)
+                with os.fdopen(w, "wb") as f:
+                    try:
+                        body(f)
+                        code = 0
+                    except Exception as e:   # raised again in the parent
+                        import traceback   # only a failing child needs it
+                        pickle.dump((e, traceback.format_exc()), f)
+            finally:
+                os._exit(code)
+        os.close(w)   # EOF on the pipe once the child is gone
+        self.reader = os.fdopen(r, "rb")
+
+    def receive(self):
+        """The child's next message; a pipe cut off raises `died`'s error."""
+        try:
+            return pickle.load(self.reader)
+        except (EOFError, pickle.UnpicklingError):
+            raise self.died() from None
+
+    def died(self):
+        """Reap the child, gone before reporting; the error to raise."""
+        _, status = os.waitpid(self.pid, 0)
+        pid, self.pid = self.pid, None   # reaped: `kill` leaves it alone
+        return RuntimeError(f"{self.what} process {pid} exited with code "
+                            f"{os.waitstatus_to_exitcode(status)} before "
+                            f"reporting")
+
+    def kill(self):
+        """Kill and reap the child unless reaped, and close its pipe."""
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            self.died()
+        self.reader.close()
+
+
+def _with_cause(error, remote_tb):
+    """A child's error, its formatted traceback chained as the cause."""
+    error.__cause__ = RuntimeError(remote_tb)
+    return error
+
+
 # ----------------------------------------------------------------- learner
 
 def _shared_arrays(specs):
@@ -438,6 +507,7 @@ class _Learner:
                ((n, n_rbg), float), ((n, n_rbg, n_actions), bool),
                ((n,), bool), ((n,), np.int64), ((n,), np.int64),
                ((n,), np.int64), ((2,), np.int64)])
+        req_r, self.req_w = os.pipe()
         self.moved = []   # (list, index, the agent's own array)
         for arrays in params:
             for i, a in enumerate(arrays):
@@ -450,35 +520,22 @@ class _Learner:
          self.size, self.updates, self.order, self.counts) = shared
         self.sent = self.received = 0
         self.pending = deque()            # cells with a `learn` not acked
-        self.outstanding = [False] * n
 
-        fds = []
         try:
-            fds.extend(os.pipe())
-            fds.extend(os.pipe())
-            req_r, self.req_w, self.ack_r, ack_w = fds
-            self.pid = os.fork()
+            self.child = _Child("learner", functools.partial(
+                self._serve, req_r), (self.req_w,))
         except OSError:
-            for fd in fds:
-                os.close(fd)
+            os.close(self.req_w)
             self._move_back()
             raise
-        if self.pid == 0:
-            code = 1
-            try:
-                os.close(self.req_w)
-                os.close(self.ack_r)
-                self._serve(req_r, ack_w)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(req_r)
-        os.close(ack_w)   # EOF on ack_r once the learner is gone
+        finally:
+            os.close(req_r)
+        self.ack_r = self.child.reader.fileno()
 
     # ---------------------------------------------------- learner process
 
-    def _serve(self, req_r, ack_w):
-        n, done = len(self.agents), 0
+    def _serve(self, req_r, acks):
+        n, done, ack_w = len(self.agents), 0, acks.fileno()
         while True:
             _poll(self.counts, 0, done)
             requests = os.read(req_r, 4096)
@@ -493,13 +550,9 @@ class _Learner:
                         self.obs[c, :k], self.action[c, :k],
                         self.reward[c, :k],
                         self.mask[c, :k] if self.masked[c] else None)
-                except Exception as e:   # raised again in the main process
-                    import pickle
-                    import traceback   # only a failing learner needs them
-                    reply = b"\1" + pickle.dumps((e, traceback.format_exc()))
-                    while reply:
-                        reply = reply[os.write(ack_w, reply):]
-                    return
+                except Exception:
+                    os.write(ack_w, b"\1")   # the error follows
+                    raise
                 self.updates[c] = self.agents[c].update_count
                 os.write(ack_w, b"\0")
                 self.counts[1] = done
@@ -520,7 +573,6 @@ class _Learner:
         self.order[self.sent % len(self.agents)] = c
         self.sent += 1
         self.pending.append(c)
-        self.outstanding[c] = True
         try:
             os.write(self.req_w, b"\0")
         except BrokenPipeError:
@@ -529,7 +581,7 @@ class _Learner:
 
     def wait(self, c):
         """Return once cell c's last `learn` has returned."""
-        while self.outstanding[c]:
+        while c in self.pending:
             self._ack()
 
     def wait_all(self):
@@ -542,35 +594,17 @@ class _Learner:
         if ack == b"\0":
             self.received += 1
             c = self.pending.popleft()
-            self.outstanding[c] = False
             self.agents[c].update_count = int(self.updates[c])
             return
         self.pending.clear()
-        self.outstanding = [False] * len(self.agents)
         if not ack:
-            pid = self.pid
-            raise RuntimeError(f"learner process {pid} exited with code "
-                               f"{self._reap()} before reporting")
-        import pickle   # only a failing learner's reply needs it
-        chunks = []
-        while chunk := os.read(self.ack_r, 1 << 16):
-            chunks.append(chunk)
-        error, remote_tb = pickle.loads(b"".join(chunks))
-        error.__cause__ = RuntimeError(remote_tb)
-        raise error
-
-    def _reap(self):
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        return os.waitstatus_to_exitcode(status)
+            raise self.child.died()
+        raise _with_cause(*self.child.receive())
 
     def close(self):
         """Kill and reap the learner and move the weights back."""
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            self._reap()
+        self.child.kill()
         os.close(self.req_w)
-        os.close(self.ack_r)
         self._move_back()
         _keep_heap_holes(sum(a.nbytes for _, _, a in self.moved))
 
@@ -609,37 +643,23 @@ def _offload_training(cfg, cpus):
     """
     wrapped = any(hasattr(getattr(A2cAgent, name), "__wrapped__")
                   for name in ("learn", "update_critic", "update_actor"))
-    return (cfg.runs == 1 and cpus >= 2 and cfg.sched.training
-            and hasattr(os, "fork") and not wrapped)
+    return cfg.runs == 1 and cpus >= 2 and cfg.sched.training and not wrapped
 
 
-def _run_lane(cfg, run_indices, conn):
-    """Child lane: one status per run (None, or the run's error and its
-    formatted traceback, which end the lane), then all of the lane's
-    ledgers in one message.
+def _run_lane(cfg, run_indices, f):
+    """Child lane: one status per run (None; a run's error ends the lane,
+    see `_Child`), then all of the lane's ledgers in one message.
 
     A ledger can outgrow the pipe buffer, so the ledgers are sent only when
-    no run is left for a blocked send to hold up; a status is small.
+    no run is left for a blocked send to hold up; a status is small, and
+    flushed at once.
     """
     ledgers = []
     for i in run_indices:
-        try:
-            ledgers.append(Simulation(cfg, run_index=i).run())
-        except Exception as e:   # raised again in the parent
-            import traceback   # only a failing child needs it
-            conn.send((e, traceback.format_exc()))
-            return
-        conn.send(None)
-    conn.send(ledgers)
-
-
-def _receive(proc, conn):
-    try:
-        return conn.recv()
-    except EOFError:
-        proc.join()
-        raise RuntimeError(f"batch lane process {proc.pid} exited with code "
-                           f"{proc.exitcode} before reporting") from None
+        ledgers.append(Simulation(cfg, run_index=i).run())
+        pickle.dump(None, f)
+        f.flush()
+    pickle.dump(ledgers, f)
 
 
 def _run_ledgers(cfg: SimConfig):
@@ -647,32 +667,21 @@ def _run_ledgers(cfg: SimConfig):
 
     Runs are spread over lanes = min(runs, usable CPUs): run i goes to lane
     i mod lanes, this process runs lane 0 and each other lane is a forked
-    child. A one-run batch with a second usable CPU trains its scheduler
-    agents in a learner process (`_Learner`; see `_offload_training`). A
-    run computes the same ledger in any process, and the first failing
-    run's error is raised, as in a serial loop. No child outlives the call.
+    child (`_Child`). A one-run batch with a second usable CPU trains its
+    scheduler agents in a learner process (`_Learner`; see
+    `_offload_training`). A run computes the same ledger in any process,
+    and the first failing run's error is raised, as in a serial loop. No
+    child outlives the call.
     """
-    cpus = _usable_cpus()
+    # only a forked child can use a CPU beyond this process's
+    cpus = _usable_cpus() if hasattr(os, "fork") else 1
     lanes = min(cfg.runs, cpus)
     learner = _offload_training(cfg, cpus)
-    if lanes > 1:
-        # imported here so that a one-lane batch costs no memory for it
-        import multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            # fork: a child starts from this process's state and no server
-            # process outlives the call
-            ctx = multiprocessing.get_context("fork")
-        else:
-            lanes = 1
     children = []
     try:
         for lane in range(1, lanes):
-            conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_run_lane, args=(
-                cfg, range(lane, cfg.runs, lanes), child_conn))
-            proc.start()
-            child_conn.close()   # EOF on conn once the child is gone
-            children.append((lane, proc, conn))
+            children.append((lane, _Child("batch lane", functools.partial(
+                _run_lane, cfg, range(lane, cfg.runs, lanes)))))
         ledgers = [None] * cfg.runs
         failed, error = cfg.runs, None
         for i in range(0, cfg.runs, lanes):
@@ -683,27 +692,20 @@ def _run_ledgers(cfg: SimConfig):
                 failed, error = i, e
                 break
         # an earlier run of another lane may have failed as well
-        for lane, proc, conn in children:
+        for lane, child in children:
             for i in range(lane, failed, lanes):
-                status = _receive(proc, conn)
+                status = child.receive()
                 if status is not None:
-                    # pickling dropped the error's traceback: chain the
-                    # child's formatted one, as multiprocessing.pool does
-                    error, remote_tb = status
-                    error.__cause__ = RuntimeError(remote_tb)
-                    failed = i
+                    failed, error = i, _with_cause(*status)
                     break
         if error is not None:
             raise error
-        for lane, proc, conn in children:
-            ledgers[lane::lanes] = _receive(proc, conn)
-            proc.join()
+        for lane, child in children:
+            ledgers[lane::lanes] = child.receive()
         return ledgers
     finally:
-        for _, proc, conn in children:
-            proc.terminate()   # no-op once joined
-            proc.join()
-            conn.close()
+        for _, child in children:
+            child.kill()
 
 
 def run_batch(cfg: SimConfig, allow_out_of_envelope=False) -> BatchResult:

@@ -122,14 +122,10 @@ class MetricsLedger:
             return None
         return s.hol_sum_ms / s.delivered
 
-    def throughput_kbps(self, cls, tti_range=None, duration_ttis=None):
+    def throughput_kbps(self, cls, tti_range):
+        """Delivered kbps over the TTI range [start, end)."""
         s = self._stats_in_range(cls, tti_range)
-        if duration_ttis is None:
-            if tti_range is not None:
-                duration_ttis = tti_range[1] - tti_range[0]
-            else:
-                duration_ttis = (max(self.window_ids()) + 1) * self.window_ttis \
-                    if self.windows else 0
+        duration_ttis = tti_range[1] - tti_range[0]
         if duration_ttis <= 0:
             return 0.0
         return s.delivered_bits / (duration_ttis * self.tti_ms)  # bits/ms == kbps

@@ -605,6 +605,24 @@ def test_learn_numerics_error_writes_nothing():
         assert p.tobytes() == old.tobytes()
 
 
+@pytest.mark.parametrize("actions, rewards, error", [
+    ([0, 7], [1.0, 1.0], ValueError),           # action 7 of 3
+    ([0, 2], [1.0, np.inf], NumericsError),     # non-finite TD error
+], ids=["action-out-of-range", "numerics"])
+def test_a_failure_late_in_a_chain_leaves_weights_and_count(
+        actions, rewards, error):
+    agent = make_agent()
+    obs = np.full((2, 4), 0.5)
+    first = copy.deepcopy(agent)
+    first.learn(obs[:1], actions[:1], rewards[:1], bootstrap=obs[1])
+    assert first.update_count == 2   # step 0 trains before step 1 fails
+    before = [p.tobytes() for p in params_of(agent)]
+    with pytest.raises(error), np.errstate(invalid="ignore"):   # inf - inf
+        agent.learn(obs, actions, rewards)
+    assert [p.tobytes() for p in params_of(agent)] == before
+    assert agent.update_count == 0
+
+
 def test_learn_on_no_transitions_is_a_noop():
     agent = make_agent(seed=8)
     before = [p.copy() for p in params_of(agent)]

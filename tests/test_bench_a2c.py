@@ -2,9 +2,10 @@
 
 `learn` on a chain of K steps against the per-step reference update, on
 the reference operating point's agent: a 50 -> 900 -> 10 actor and a
-50 -> 100 -> 1 critic, and, for K = 8, one cell's `learn` through a forked
-learner process. Each case runs a fixed, small number of rounds so that
-the suite stays fast; compare the cases with
+50 -> 100 -> 1 critic. And one TTI's training at that operating point,
+four cells' K = 8 chains, in-process against a forked learner process.
+Each case runs a fixed, small number of rounds so that the suite stays
+fast; compare the cases with
 `pytest tests/test_bench_a2c.py --benchmark-only`.
 """
 
@@ -18,6 +19,7 @@ from test_a2c import chain_steps, make_agent, random_chain, sequential_learn
 OBS_DIM, N_ACTIONS = 50, 10
 ROUNDS = 15
 WARMUP = 2
+CELLS = 4   # the reference operating point's
 
 
 def reference_agent(k):
@@ -52,17 +54,44 @@ def test_bench_sequential_reference(benchmark, k):
         agent, chain_steps(**chain)), k)
 
 
-def test_bench_learner_round_trip(benchmark):
-    """Submit one K = 8 cell's chain and wait for the ack."""
-    benchmark.group = "a2c-train-k8"
-    agent = reference_agent(8)
-    learner = _Learner([agent], 8)
+def run_tti_rounds(benchmark, train, agents):
+    """Each cell's agent trained on a fresh K = 8 chain each round, as the
+    scheduler agents are on each TTI's decisions."""
+    tti = iter([[random_chain(8, True, seed * CELLS + c, OBS_DIM, N_ACTIONS)
+                 for c in range(CELLS)]
+                for seed in range(WARMUP + ROUNDS)])
 
-    def round_trip(_, chain):
-        learner.submit(0, chain["obs"], chain["actions"], chain["rewards"],
-                       chain["masks"])
-        learner.wait(0)
+    def setup():
+        return (agents, next(tti)), {}
+
+    benchmark.pedantic(train, setup=setup, rounds=ROUNDS, iterations=1,
+                       warmup_rounds=WARMUP)
+
+
+def test_bench_learn_one_tti(benchmark):
+    """The four cells' `learn` calls, in-process."""
+    benchmark.group = "a2c-train-tti"
+
+    def train(agents, chains):
+        for agent, chain in zip(agents, chains):
+            agent.learn(**chain)
+    run_tti_rounds(benchmark, train, [reference_agent(c) for c in range(CELLS)])
+
+
+def test_bench_learner_round_trip(benchmark):
+    """The four cells' chains submitted to a forked learner back to back,
+    then every ack awaited: the learner's work and the hand-over, with no
+    other work to overlap them."""
+    benchmark.group = "a2c-train-tti"
+    agents = [reference_agent(c) for c in range(CELLS)]
+    learner = _Learner(agents, 8)
+
+    def train(_, chains):
+        for c, chain in enumerate(chains):
+            learner.submit(c, chain["obs"], chain["actions"],
+                           chain["rewards"], chain["masks"])
+        learner.wait_all()
     try:
-        run_rounds(benchmark, round_trip, 8, agent)
+        run_tti_rounds(benchmark, train, agents)
     finally:
         learner.close()

@@ -1,9 +1,11 @@
 import contextlib
 import copy
 import math
-import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -278,10 +280,9 @@ def two_lanes(monkeypatch):
 
 @contextlib.contextmanager
 def deadline(seconds):
-    """Fail instead of hanging when the body takes longer than `seconds`."""
+    """Fail instead of hanging when the body takes longer than `seconds`.
+    The failure unwinds through the engine, which kills its children."""
     def expire(signum, frame):
-        for proc in multiprocessing.active_children():
-            proc.kill()   # so that a stuck child cannot hold up exit either
         pytest.fail(f"still running after {seconds} s")
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(seconds)
@@ -290,6 +291,11 @@ def deadline(seconds):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def patch_runs(monkeypatch, outcomes):
@@ -321,7 +327,7 @@ def padded(simulate):
 def test_runs_are_order_independent(runs, two_lanes):
     cfg = desk_config(runs=runs, ttis=100)
     batch = run_batch(cfg)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
     # re-execute each run standalone, in reverse order
     solo = []
     for i in reversed(range(runs)):
@@ -342,7 +348,7 @@ def test_first_failing_run_raises_whichever_lane_ran_it(
     with deadline(60), pytest.raises(
             AuditError, match=f"run {min(failing)}$") as raised:
         run_batch(desk_config(runs=3, ttis=20))
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
     if min(failing) == 1:
         # the child's traceback survives as the cause, down to the raiser
         assert "in outcome" in str(raised.value.__cause__)
@@ -354,7 +360,7 @@ def test_child_lane_killed_by_signal_raises(two_lanes, monkeypatch):
     patch_runs(monkeypatch, {1: killed})
     with deadline(60), pytest.raises(RuntimeError, match="code -9"):
         run_batch(desk_config(runs=3, ttis=20))
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_child_blocked_on_a_large_payload_does_not_hang(two_lanes, monkeypatch):
@@ -363,7 +369,57 @@ def test_child_blocked_on_a_large_payload_does_not_hang(two_lanes, monkeypatch):
     patch_runs(monkeypatch, {1: padded, 2: fails(AuditError("run 2"))})
     with deadline(60), pytest.raises(AuditError, match="run 2$"):
         run_batch(desk_config(runs=3, ttis=20))
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+
+
+def sigkill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class KillsWhenPickled:
+    def __reduce__(self):
+        sigkill_self()
+
+
+class KillsSoonAfterPickled:
+    """Kills the lane 0.2 s after it is pickled, while the lane is blocked
+    writing what follows it."""
+    def __reduce__(self):
+        threading.Timer(0.2, sigkill_self).start()
+        return (int, ())
+
+
+def killed_after_the_padding(simulate):
+    led = padded(simulate)
+    led.last = KillsWhenPickled()   # pickled after the padding
+    return led
+
+
+def killed_inside_the_padding(simulate):
+    led = simulate()
+    led.first = KillsSoonAfterPickled()
+    led.padding = bytes(4 << 20)
+    return led
+
+
+def once_a_child_is_dead(simulate):
+    # the pipe then holds only what its buffer took of the padding
+    os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)   # the engine reaps it
+    return simulate()
+
+
+# the parent's unpickler sees the pipe end between frames (EOFError) or
+# inside the padding's bytes (UnpicklingError)
+@pytest.mark.parametrize("outcomes", [
+    {1: killed_after_the_padding},
+    {1: killed_inside_the_padding, 2: once_a_child_is_dead},
+], ids=["after-the-padding", "inside-the-padding"])
+def test_child_lane_killed_partway_through_a_message_raises(
+        outcomes, two_lanes, monkeypatch):
+    patch_runs(monkeypatch, outcomes)
+    with deadline(60), pytest.raises(RuntimeError, match="code -9"):
+        run_batch(desk_config(runs=3, ttis=20))
+    assert_no_child_left()
 
 
 def test_large_child_payload_arrives(two_lanes, monkeypatch):
@@ -371,7 +427,7 @@ def test_large_child_payload_arrives(two_lanes, monkeypatch):
     with deadline(60):
         batch = run_batch(desk_config(runs=3, ttis=20))
     assert len(batch.ledgers[1].padding) == 4 << 20
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_numerics_error_in_child_lane_exits_3(
@@ -383,7 +439,34 @@ def test_numerics_error_in_child_lane_exits_3(
     code = cli_main(["run", "--config", str(conf), "--out", str(tmp_path / "out")])
     assert code == 3
     assert "lane blow-up" in capsys.readouterr().err
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+
+
+def test_a_batch_of_lanes_imports_no_module_a_one_lane_batch_does_not():
+    # in a fresh interpreter, where no other test has imported anything
+    script = (
+        "import os, sys\n"
+        "from oransim import engine\n"
+        "from oransim.config import SimConfig\n"
+        "cfg = SimConfig()\n"
+        "cfg.n_cells, cfg.n_ues, cfg.n_rbg, cfg.ttis = 2, 8, 6, 20\n"
+        "engine._usable_cpus = lambda: 1\n"
+        "engine.run_batch(cfg)\n"
+        "before = set(sys.modules)\n"
+        "forks = []\n"
+        "fork = os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "engine._usable_cpus = lambda: 2\n"
+        "cfg.runs = 3\n"
+        "engine.run_batch(cfg)\n"
+        "print(len(forks), sorted(set(sys.modules) - before))\n")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "1 []\n"   # one child lane, and no new module
 
 
 # ------------------------------------------------------------ metric maths

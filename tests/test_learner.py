@@ -14,7 +14,7 @@ from oransim.a2c import A2cAgent, NumericsError
 from oransim.config import SimConfig, parse_config_file, set_key
 from oransim.engine import AuditError, Simulation, run_batch
 
-from test_engine import deadline
+from test_engine import assert_no_child_left, deadline
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -57,11 +57,6 @@ def learners(monkeypatch):
 
 def cpus(monkeypatch, n):
     monkeypatch.setattr(engine, "_usable_cpus", lambda: n)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def weights_are_private(sim):
@@ -179,7 +174,7 @@ def test_learner_exits_on_eof_of_its_request_pipe():
     os.close(learner.req_w)
     learner.req_w = os.open(os.devnull, os.O_WRONLY)   # for close() to close
     with deadline(60):
-        assert learner._reap() == 0
+        assert "exited with code 0 " in str(learner.child.died())
     learner.close()
     assert_no_child_left()
 
