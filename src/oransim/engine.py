@@ -144,7 +144,8 @@ class Simulation:
             self.rng_placement, forced=forced, tti_ms=cfg.tti_ms)
 
         self.ledger = MetricsLedger(cfg.window_ttis, cfg.tti_ms)
-        self.prev_allocations = {}
+        # the TTI's grants: row c is cell c's UE id per RBG
+        self.prev_allocations = np.full((cfg.n_cells, cfg.n_rbg), UNASSIGNED)
         self.interference_events = 0
         self._base_cqi = None   # see _build_run_caches
 
@@ -158,7 +159,7 @@ class Simulation:
         self._changing_channel = (self.ues if self.cfg.ran.shadow_sigma_db > 0.0
                                   else self._vehicles)
         self._base_cqi = [0] * len(self.ues)
-        # per cell: (interfered RBGs, base CQI -> read-only CQI vector)
+        # per cell: (its collided row's bytes, base CQI -> read-only CQI vector)
         self._cqi_vectors = [(None, {}) for _ in self.cells]
         self._arriving = [q for q in self.queues.values()
                           if q.arrival_rate(self.rate_scale) > 0.0]
@@ -187,24 +188,24 @@ class Simulation:
         same.
         """
         cfg = self.cfg.ran
-        view = build_interference_view(self.prev_allocations)
-        self.interference_events += view.collision_count()
+        collided = build_interference_view(self.prev_allocations)
+        self.interference_events += np.count_nonzero(collided)
         for ue in refresh:
             self._base_cqi[ue.ue_id] = compute_cqi(
                 ue, self.cells[ue.serving_cell_id], cfg, self.rng_channel)
-        for cell, ues in zip(self.cells, cell_ues):
-            interfered = view.interfered_rbgs(cell.cell_id)
-            seen, vectors = self._cqi_vectors[cell.cell_id]
-            if interfered != seen:
+        for c, ues in enumerate(cell_ues):
+            interfered = collided[c]
+            key = interfered.tobytes()
+            seen, vectors = self._cqi_vectors[c]
+            if key != seen:
                 vectors = {}
-                self._cqi_vectors[cell.cell_id] = (interfered, vectors)
+                self._cqi_vectors[c] = (key, vectors)
             for ue in ues:
                 base = self._base_cqi[ue.ue_id]
                 cqi = vectors.get(base)
                 if cqi is None:
                     cqi = vectors[base] = cqi_vector(
-                        base, cell.n_rbg, interfered,
-                        cfg.interference_cqi_penalty)
+                        base, interfered, cfg.interference_cqi_penalty)
                     cqi.flags.writeable = False
                 ue.cqi_per_rbg = cqi
 
@@ -242,7 +243,6 @@ class Simulation:
         # DU: delivered in budget -> R3 1, delivered late or expired -> R3 0
         cu_group = set(self.placement.cu_dus())
         cu_taken = set()
-        allocations = {}
         learner = self._learner
         for cell, ues in zip(self.cells, cell_ues):
             c = cell.cell_id
@@ -258,7 +258,7 @@ class Simulation:
                 learn = functools.partial(learner.submit, c)
             out = schedule_tti(self.sched_agents[c], ctx, cfg.sched,
                                self.rng_sched, learn)
-            allocations[c] = out.allocation
+            self.prev_allocations[c] = out.allocation
             if c in cu_group:
                 cu_taken.update(
                     int(r) for r in np.nonzero(out.allocation != UNASSIGNED)[0])
@@ -291,9 +291,8 @@ class Simulation:
                     urllc = 1 if q.flow.is_urllc else 0
                     self.placement.record_samples(c, [(urllc, 0)] * len(dropped))
 
-        self.prev_allocations = allocations
         if cfg.audit:
-            self._audit(t, allocations)
+            self._audit(t, self.prev_allocations)
 
     def _audit(self, t, allocations):
         # conservation per class, in packets and in bits
@@ -312,7 +311,7 @@ class Simulation:
             if tot.arrived_bits != settled_bits + queued_bits.get(cls, 0):
                 raise AuditError(f"TTI {t}: bit conservation broken for {cls}")
         # every granted RBG belongs to a UE this cell serves
-        for cell_id, alloc in allocations.items():
+        for cell_id, alloc in enumerate(allocations):
             for ue_id in alloc:
                 if ue_id == UNASSIGNED:
                     continue

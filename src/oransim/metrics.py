@@ -98,7 +98,7 @@ class MetricsLedger:
             if c != cls:
                 continue
             start = w * self.window_ttis
-            if tti_range is not None and not (tti_range[0] <= start < tti_range[1]):
+            if not (tti_range[0] <= start < tti_range[1]):
                 continue
             agg.arrived += s.arrived
             agg.delivered += s.delivered
@@ -107,7 +107,7 @@ class MetricsLedger:
             agg.hol_sum_ms += s.hol_sum_ms
         return agg
 
-    def pdr(self, cls, tti_range=None):
+    def pdr(self, cls, tti_range):
         """delivered / (delivered + dropped); None when nothing was decided."""
         s = self._stats_in_range(cls, tti_range)
         decided = s.delivered + s.dropped
@@ -115,7 +115,7 @@ class MetricsLedger:
             return None
         return s.delivered / decided
 
-    def mean_hol_ms(self, cls, tti_range=None):
+    def mean_hol_ms(self, cls, tti_range):
         """Mean effective HoL age at delivery; None without deliveries."""
         s = self._stats_in_range(cls, tti_range)
         if s.delivered == 0:
@@ -129,9 +129,6 @@ class MetricsLedger:
         if duration_ttis <= 0:
             return 0.0
         return s.delivered_bits / (duration_ttis * self.tti_ms)  # bits/ms == kbps
-
-    def du_cu_ratio(self, tti_range=None):
-        return relocation_ratio(self.placement_events, tti_range=tti_range)
 
     def state_dict(self):
         """Plain-data view used for exact run-equivalence comparisons."""
@@ -159,7 +156,7 @@ def ledger_rows(ledger: MetricsLedger, mode):
     classes = ledger.classes()
     for w in ledger.window_ids():
         rng = (w * ledger.window_ttis, (w + 1) * ledger.window_ttis)
-        ratio = ledger.du_cu_ratio(rng)
+        ratio = relocation_ratio(ledger.placement_events, rng)
         for cls in classes:
             rows.append({
                 "window_start_tti": rng[0],

@@ -185,17 +185,15 @@ class PlacementController:
         return events
 
 
-def relocation_ratio(events, urllc_threshold=None, tti_range=None):
-    """DU/CU fractions over a set of placement events.
-
-    Optionally restrict to a [start, end) TTI range, or keep only
-    URLLC-dominated events. Returns (du_ratio, cu_ratio) or None when
-    nothing qualifies.
+def relocation_ratio(events, tti_range, urllc_threshold=None):
+    """DU/CU fractions over the placement events in the [start, end) TTI
+    range, optionally only the URLLC-dominated ones. Returns
+    (du_ratio, cu_ratio) or None when nothing qualifies.
     """
     total = 0
     at_du = 0
     for ev in events:
-        if tti_range is not None and not (tti_range[0] <= ev.tti < tti_range[1]):
+        if not (tti_range[0] <= ev.tti < tti_range[1]):
             continue
         if urllc_threshold is not None and ev.urllc_share <= urllc_threshold:
             continue

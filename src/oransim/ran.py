@@ -97,14 +97,12 @@ def compute_cqi(ue: Ue, cell: Cell, cfg: RanConfig, rng=None):
     return snr_to_cqi(snr, cfg)
 
 
-def cqi_vector(base, n_rbg, interfered, penalty):
-    """`base` on every RBG, knocked down by `penalty` (floored at CQI 1) on
-    each of the `interfered` RBGs below n_rbg."""
-    cqi = np.empty(n_rbg, dtype=int)
+def cqi_vector(base, interfered, penalty):
+    """`base` on every RBG, knocked down by `penalty` (floored at CQI 1)
+    where the bool row `interfered` is set."""
+    cqi = np.empty(len(interfered), dtype=int)
     cqi.fill(base)   # as np.full, at a third of its call overhead
-    for rbg in interfered:
-        if rbg < n_rbg:
-            cqi[rbg] = max(base - penalty, CQI_MIN)
+    cqi[interfered] = max(base - penalty, CQI_MIN)
     return cqi
 
 
@@ -115,35 +113,12 @@ def rbg_capacity(cqi: int) -> int:
     return RBG_CAPACITY_BITS[cqi - 1]
 
 
-class InterferenceView:
-    """Which cells used each RBG in one TTI, exposed per (cell, rbg)."""
-
-    def __init__(self, users_per_rbg):
-        # users_per_rbg: dict rbg -> sorted tuple of cell ids that assigned it
-        self._users = users_per_rbg
-
-    def interfered_rbgs(self, cell_id):
-        """RBGs on which `cell_id` collided with at least one other cell."""
-        out = []
-        for rbg, cells in self._users.items():
-            if cell_id in cells and len(cells) > 1:
-                out.append(rbg)
-        return sorted(out)
-
-    def collision_count(self):
-        """Number of (cell, rbg) pairs involved in a collision."""
-        return sum(len(cells) for cells in self._users.values() if len(cells) > 1)
-
-
-def build_interference_view(allocations) -> InterferenceView:
-    """Fold per-cell RBG allocations (cell_id -> int array) into a view."""
-    users = {}
-    for cell_id in sorted(allocations):
-        alloc = allocations[cell_id]
-        for rbg, ue_id in enumerate(alloc):
-            if ue_id != UNASSIGNED:
-                users.setdefault(rbg, []).append(cell_id)
-    return InterferenceView({r: tuple(sorted(c)) for r, c in users.items()})
+def build_interference_view(allocations):
+    """Which (cell, rbg) grants collided: set where the cell granted the
+    RBG and at least one other cell did too. `allocations` is the TTI's
+    (n_cells, n_rbg) grant matrix, UNASSIGNED where no UE was granted."""
+    used = allocations != UNASSIGNED
+    return used & (used.sum(axis=0) > 1)
 
 
 def nearest_cell_id(position, cells):

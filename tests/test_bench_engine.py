@@ -68,13 +68,12 @@ def test_bench_channel_update(benchmark, sim):
 
 def test_bench_channel_per_ue_reference(benchmark, sim):
     def per_ue():
-        view = build_interference_view(sim.prev_allocations)
+        collided = build_interference_view(sim.prev_allocations)
         cfg = sim.cfg.ran
         for ue in sim.ues:
             cell = sim.cells[ue.serving_cell_id]
-            cqi_vector(compute_cqi(ue, cell, cfg, sim.rng_channel), cell.n_rbg,
-                       view.interfered_rbgs(cell.cell_id),
-                       cfg.interference_cqi_penalty)
+            cqi_vector(compute_cqi(ue, cell, cfg, sim.rng_channel),
+                       collided[cell.cell_id], cfg.interference_cqi_penalty)
     bench(benchmark, "engine-channel", per_ue)
 
 

@@ -24,8 +24,13 @@ from oransim.engine import (
     stream_seed,
 )
 from oransim.metrics import MetricsLedger, aggregate_rows, ledger_rows
-from oransim.placement import PlacementEvent, LOCATION_CU, LOCATION_DU
-from oransim.ran import build_interference_view, compute_cqi, cqi_vector
+from oransim.placement import (
+    LOCATION_CU,
+    LOCATION_DU,
+    PlacementEvent,
+    relocation_ratio,
+)
+from oransim.ran import UNASSIGNED, compute_cqi, cqi_vector
 from oransim.traffic import RlcQueue
 
 
@@ -129,21 +134,29 @@ def test_every_cqi_equals_a_fresh_compute_cqi(scenario, penalty, shadow_db):
     cfg.ran.interference_cqi_penalty = penalty
     cfg.ran.shadow_sigma_db = shadow_db
     sim = Simulation(cfg)
+    events = 0
     for t in range(cfg.ttis):
-        view = build_interference_view(sim.prev_allocations)
+        # last TTI's collisions, one (cell, rbg) grant at a time: the cell
+        # granted the RBG and some other cell granted it too
+        grants = sim.prev_allocations.tolist()
+        collided = [[g != UNASSIGNED and any(
+                        other[rbg] != UNASSIGNED
+                        for o, other in enumerate(grants) if o != c)
+                     for rbg, g in enumerate(row)]
+                    for c, row in enumerate(grants)]
+        events += sum(map(sum, collided))
         channel = copy.deepcopy(sim.rng_channel)
         sim.step(t)
         # the oracle draws the channel stream once per UE, in UE id order
         for ue in sim.ues:
             cell = sim.cells[ue.serving_cell_id]
             fresh = cqi_vector(compute_cqi(ue, cell, cfg.ran, channel),
-                               cell.n_rbg, view.interfered_rbgs(cell.cell_id),
-                               penalty)
+                               np.array(collided[cell.cell_id]), penalty)
             assert ue.cqi_per_rbg.dtype == fresh.dtype
             assert np.array_equal(ue.cqi_per_rbg, fresh), (t, ue.ue_id)
             assert not ue.cqi_per_rbg.flags.writeable
         assert channel.bit_generator.state == sim.rng_channel.bit_generator.state
-    assert sim.interference_events > 0
+    assert sim.interference_events == events > 0
     if shadow_db == 0.0:
         untouched = named_stream(sim.run_seed, "channel")
         assert sim.rng_channel.bit_generator.state == untouched.bit_generator.state
@@ -473,34 +486,34 @@ def test_a_batch_of_lanes_imports_no_module_a_one_lane_batch_does_not():
 
 def test_pdr_trivial_values():
     led = MetricsLedger(window_ttis=10)
-    assert led.pdr("video") is None
+    assert led.pdr("video", (0, 10)) is None
     led.record_arrivals(0, "video", 4, 4000)
     led.record_delivery(1, "video", 1000, 3.0)
     led.record_delivery(2, "video", 1000, 5.0)
     led.record_delivery(3, "video", 1000, 1.0)
-    assert led.pdr("video") == 1.0
+    assert led.pdr("video", (0, 10)) == 1.0
     led.record_drop(4, "video", 1, 1000)
-    assert led.pdr("video") == 0.75
+    assert led.pdr("video", (0, 10)) == 0.75
 
 
 def test_pdr_all_dropped_is_zero():
     led = MetricsLedger(window_ttis=10)
     led.record_arrivals(0, "ar", 2, 2000)
     led.record_drop(1, "ar", 2, 2000)
-    assert led.pdr("ar") == 0.0
+    assert led.pdr("ar", (0, 10)) == 0.0
 
 
 def test_mean_hol_values_and_absence():
     led = MetricsLedger(window_ttis=10)
-    assert led.mean_hol_ms("video") is None
+    assert led.mean_hol_ms("video", (0, 10)) is None
     led.record_arrivals(0, "video", 2, 2000)
     led.record_delivery(1, "video", 1000, 4.0)
-    assert led.mean_hol_ms("video") == 4.0
+    assert led.mean_hol_ms("video", (0, 10)) == 4.0
     led.record_delivery(2, "video", 1000, 2.0)
     led.record_delivery(2, "video", 1000, 6.0)
-    assert led.mean_hol_ms("video") == 4.0
+    assert led.mean_hol_ms("video", (0, 10)) == 4.0
     # a window with no deliveries reports absent, not zero
-    assert led.mean_hol_ms("video", tti_range=(20, 30)) is None
+    assert led.mean_hol_ms("video", (20, 30)) is None
 
 
 def test_throughput_accounts_delivered_bits_per_time():
@@ -518,22 +531,22 @@ def test_relocation_ratio_trivials():
         PlacementEvent(0, 0, LOCATION_DU, 0.5),
         PlacementEvent(10, 0, LOCATION_CU, 0.5),
     ])
-    assert led.du_cu_ratio() == (0.5, 0.5)
+    assert relocation_ratio(led.placement_events, (0, 20)) == (0.5, 0.5)
     led2 = MetricsLedger(window_ttis=10)
     led2.record_placements([
         PlacementEvent(0, 0, LOCATION_DU, 0.0),
         PlacementEvent(10, 1, LOCATION_DU, 0.0),
     ])
-    assert led2.du_cu_ratio() == (1.0, 0.0)
+    assert relocation_ratio(led2.placement_events, (0, 20)) == (1.0, 0.0)
 
 
 def test_forced_modes_pin_placement_ratio():
     cfg = desk_config(mode="nf-du", ttis=100)
     led = run_batch(cfg).ledgers[0]
-    assert led.du_cu_ratio() == (1.0, 0.0)
+    assert relocation_ratio(led.placement_events, (0, 100)) == (1.0, 0.0)
     cfg = desk_config(mode="nf-cu", ttis=100)
     led = run_batch(cfg).ledgers[0]
-    assert led.du_cu_ratio() == (0.0, 1.0)
+    assert relocation_ratio(led.placement_events, (0, 100)) == (0.0, 1.0)
 
 
 def test_delivered_ages_never_exceed_budget():

@@ -4,7 +4,8 @@
 a renamed or deleted one is reported in `Tracer.missing`, and the
 benchmark then marks its workload incorrect. This runs the tracer over a
 short desk run, dynamic and pinned at the CU, and checks that the A2C
-update spans are recorded and that the scheduler hook sees blocked RBGs.
+update spans are recorded, that the scheduler hook sees blocked RBGs, and
+that the collision count is positive under dscd and zero at the CU.
 """
 
 import os
@@ -43,8 +44,13 @@ def test_tracer_wraps_every_entry_point_and_records_a2c_updates(mode):
         assert name in names
     summary, _ = tracer.summary()
     assert 0.0 < summary["a2c.update_applied_ratio"][0] <= 1.0
+    collisions = summary["ran.collisions_per_tti"][0]
     if mode == "nf-cu":
         # the CU-coordinated cells block each other's RBGs, so the
         # schedule_tti hook read the cells' blocked sets and allocations
         assert summary["scheduler.blocked_rbg_ratio"][0] > 0.0
         assert summary["placement.cu_share"][0] == 1.0
+        # the paper's mechanism: CU-coordinated cells never collide
+        assert collisions == 0.0
+    else:
+        assert collisions > 0.0

@@ -161,30 +161,29 @@ def ev(tti, du, loc, urllc=0.0):
 
 def test_always_du_ratio_is_one():
     events = [ev(t, 0, LOCATION_DU) for t in range(0, 100, 10)]
-    assert relocation_ratio(events) == (1.0, 0.0)
+    assert relocation_ratio(events, (0, 100)) == (1.0, 0.0)
 
 
 def test_always_cu_ratio_is_one():
     events = [ev(t, 0, LOCATION_CU) for t in range(0, 100, 10)]
-    assert relocation_ratio(events) == (0.0, 1.0)
+    assert relocation_ratio(events, (0, 100)) == (0.0, 1.0)
 
 
 def test_alternating_epochs_split_evenly():
     events = [ev(t, 0, LOCATION_DU if (t // 10) % 2 == 0 else LOCATION_CU)
               for t in range(0, 100, 10)]
-    assert relocation_ratio(events) == (0.5, 0.5)
+    assert relocation_ratio(events, (0, 100)) == (0.5, 0.5)
 
 
 def test_ratio_filters_by_range_and_urllc_share():
     events = [ev(0, 0, LOCATION_DU, urllc=0.8),
               ev(10, 0, LOCATION_CU, urllc=0.2)]
-    assert relocation_ratio(events, tti_range=(0, 10)) == (1.0, 0.0)
-    assert relocation_ratio(events, tti_range=(10, 20)) == (0.0, 1.0)
-    assert relocation_ratio(events, tti_range=(20, 30)) is None
-    assert relocation_ratio(events, urllc_threshold=0.5) == (1.0, 0.0)
-    assert relocation_ratio(events, urllc_threshold=0.8) is None
-    assert relocation_ratio(events, urllc_threshold=0.5,
-                            tti_range=(10, 20)) is None
+    assert relocation_ratio(events, (0, 10)) == (1.0, 0.0)
+    assert relocation_ratio(events, (10, 20)) == (0.0, 1.0)
+    assert relocation_ratio(events, (20, 30)) is None
+    assert relocation_ratio(events, (0, 20), urllc_threshold=0.5) == (1.0, 0.0)
+    assert relocation_ratio(events, (0, 20), urllc_threshold=0.8) is None
+    assert relocation_ratio(events, (10, 20), urllc_threshold=0.5) is None
 
 
 # --------------------------------------------------- simulation level checks
@@ -236,7 +235,7 @@ def test_cu_delay_penalty_never_improves_delivery():
                        scenario="fixed")
         cfg.placement.cu_extra_delay_ttis = delay
         led = run_batch(cfg, allow_out_of_envelope=True).ledgers[0]
-        pdrs.append(led.pdr("video"))
+        pdrs.append(led.pdr("video", (0, cfg.ttis)))
     assert pdrs[0] >= pdrs[1] >= pdrs[2]
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oransim.ran import (
     CQI_MAX,
@@ -38,17 +38,16 @@ def test_ue_at_cell_center_reports_max_cqi():
     assert compute_cqi(make_ue((0.0, 0.0)), cell, RanConfig()) == CQI_MAX
 
 
-def penalized_cqi(ue, cell, view, cfg):
-    return cqi_vector(compute_cqi(ue, cell, cfg), cell.n_rbg,
-                      view.interfered_rbgs(cell.cell_id),
+def penalized_cqi(ue, cell, collided, cfg):
+    return cqi_vector(compute_cqi(ue, cell, cfg), collided[cell.cell_id],
                       cfg.interference_cqi_penalty)
 
 
 def test_interference_penalty_knocks_down_single_rbg():
     cell = make_cell(n_rbg=3)
-    view = build_interference_view({0: np.array([5, UNASSIGNED, UNASSIGNED]),
-                                    1: np.array([7, UNASSIGNED, UNASSIGNED])})
-    cqi = penalized_cqi(make_ue((0.0, 0.0)), cell, view, RanConfig())
+    collided = build_interference_view(np.array([[5, UNASSIGNED, UNASSIGNED],
+                                                 [7, UNASSIGNED, UNASSIGNED]]))
+    cqi = penalized_cqi(make_ue((0.0, 0.0)), cell, collided, RanConfig())
     assert list(cqi) == [12, 15, 15]
 
 
@@ -56,8 +55,8 @@ def test_penalty_floors_at_cqi_one():
     cfg = RanConfig(interference_cqi_penalty=3)
     cell = make_cell(n_rbg=1, pos=(0.0, 0.0))
     ue = make_ue((cfg.max_radius_m, 0.0))
-    view = build_interference_view({0: np.array([1]), 1: np.array([2])})
-    assert penalized_cqi(ue, cell, view, cfg)[0] == CQI_MIN
+    collided = build_interference_view(np.array([[1], [2]]))
+    assert penalized_cqi(ue, cell, collided, cfg)[0] == CQI_MIN
 
 
 def test_ue_at_max_radius_reports_min_cqi():
@@ -167,25 +166,44 @@ def test_mobility_stays_inside_arena(seed):
 # ------------------------------------------------------------- interference
 
 def test_single_cell_view_is_empty():
-    view = build_interference_view({0: np.array([3, 1, UNASSIGNED])})
-    assert view.collision_count() == 0
-    assert view.interfered_rbgs(0) == []
+    collided = build_interference_view(np.array([[3, 1, UNASSIGNED]]))
+    assert np.count_nonzero(collided) == 0
+    assert list(np.flatnonzero(collided[0])) == []
 
 
 def test_mutual_collision_listed_both_ways():
-    view = build_interference_view({0: np.array([4, UNASSIGNED]),
-                                    1: np.array([9, UNASSIGNED])})
-    assert view.interfered_rbgs(0) == [0]
-    assert view.interfered_rbgs(1) == [0]
-    assert view.collision_count() == 2
+    collided = build_interference_view(np.array([[4, UNASSIGNED],
+                                                 [9, UNASSIGNED]]))
+    assert list(np.flatnonzero(collided[0])) == [0]
+    assert list(np.flatnonzero(collided[1])) == [0]
+    assert np.count_nonzero(collided) == 2
 
 
 def test_disjoint_usage_gives_empty_view():
-    view = build_interference_view({0: np.array([4, UNASSIGNED]),
-                                    1: np.array([UNASSIGNED, 9])})
-    assert view.collision_count() == 0
-    assert view.interfered_rbgs(0) == []
-    assert view.interfered_rbgs(1) == []
+    collided = build_interference_view(np.array([[4, UNASSIGNED],
+                                                 [UNASSIGNED, 9]]))
+    assert np.count_nonzero(collided) == 0
+    assert list(np.flatnonzero(collided[0])) == []
+    assert list(np.flatnonzero(collided[1])) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n_cells: st.integers(1, 8).flatmap(
+    lambda n_rbg: st.lists(
+        st.lists(st.sampled_from([UNASSIGNED, 0, 3, 7]),
+                 min_size=n_rbg, max_size=n_rbg),
+        min_size=n_cells, max_size=n_cells))))
+@example([[3, UNASSIGNED], [0, 7], [7, UNASSIGNED]])   # a 3-way collision
+def test_view_marks_grants_that_another_cell_shares(rows):
+    allocations = np.array(rows)
+    collided = build_interference_view(allocations)
+    assert collided.shape == allocations.shape
+    assert collided.dtype == bool
+    for c, row in enumerate(rows):
+        for rbg, ue_id in enumerate(row):
+            others = [o for o in range(len(rows))
+                      if o != c and rows[o][rbg] != UNASSIGNED]
+            assert collided[c, rbg] == (ue_id != UNASSIGNED and bool(others))
 
 
 # ----------------------------------------------------------------- topology
