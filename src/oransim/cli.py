@@ -159,7 +159,11 @@ def cmd_run(args):
 def _read_aggregate(path):
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for raw in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        if tuple(reader.fieldnames or ()) != CSV_HEADER:
+            raise ConfigError(f"{path} is not an aggregate CSV: its header "
+                              f"is not {','.join(CSV_HEADER)}")
+        for raw in reader:
             row = dict(raw)
             for col in METRIC_COLUMNS:
                 row[col] = float(row[col]) if row.get(col) else None

@@ -148,6 +148,7 @@ def copy_config(base: SimConfig) -> SimConfig:
 
 def parse_config_text(text, base: SimConfig | None = None):
     cfg = copy_config(base) if base is not None else SimConfig()
+    set_on = {}   # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -155,7 +156,12 @@ def parse_config_text(text, base: SimConfig | None = None):
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        set_key(cfg, key.strip(), value)
+        key = key.strip()
+        if key in set_on:
+            raise ConfigError(f"line {lineno}: {key} is already set on line "
+                              f"{set_on[key]}", key=key)
+        set_on[key] = lineno
+        set_key(cfg, key, value)
     return cfg
 
 

@@ -174,9 +174,10 @@ class Simulation:
         counts = self.rng_traffic.poisson(self._arrival_rates)
         for i in np.flatnonzero(counts):
             q = self._arriving[i]
-            fresh = q.generate_arrivals(t, int(counts[i]))
-            self.ledger.record_arrivals(
-                t, q.flow.label, len(fresh), sum(p.size_bits for p in fresh))
+            n = int(counts[i])
+            q.generate_arrivals(t, n)
+            self.ledger.record_arrivals(t, q.flow.label, n,
+                                        n * q.flow.packet_size_bits)
 
     def _update_channel(self, cell_ues, refresh):
         """Every UE's CQI vector from last TTI's allocations.
@@ -265,31 +266,30 @@ class Simulation:
 
             for ue_id in sorted(out.granted_bits):
                 q = self.queues[ue_id]
-                delivered, expired = q.serve(out.granted_bits[ue_id], t, extra)
+                ages, expired = q.serve(out.granted_bits[ue_id], t, extra)
                 cls = q.flow.label
+                size = q.flow.packet_size_bits
                 urllc = 1 if q.flow.is_urllc else 0
                 budget = q.flow.delay_budget_ms
-                for p in delivered:
-                    age = p.age_ms(t, cfg.tti_ms) + extra
+                for age in ages:
                     if cfg.audit and age > budget:
                         raise AuditError(
                             f"TTI {t}: delivered packet over budget ({age} ms "
                             f"against {budget} ms)")
-                    self.ledger.record_delivery(t, cls, p.size_bits, age)
+                    self.ledger.record_delivery(t, cls, size, age)
                 if expired:
-                    self.ledger.record_drop(t, cls, len(expired),
-                                            sum(p.size_bits for p in expired))
-                self.placement.record_samples(c, [(urllc, 1)] * len(delivered)
-                                              + [(urllc, 0)] * len(expired))
+                    self.ledger.record_drop(t, cls, expired, expired * size)
+                self.placement.record_samples(c, [(urllc, 1)] * len(ages)
+                                              + [(urllc, 0)] * expired)
 
             for ue in ues:
                 q = self.queues[ue.ue_id]
                 dropped = q.drop_expired(t, extra)
                 if dropped:
-                    self.ledger.record_drop(t, q.flow.label, len(dropped),
-                                            sum(p.size_bits for p in dropped))
+                    self.ledger.record_drop(t, q.flow.label, dropped,
+                                            dropped * q.flow.packet_size_bits)
                     urllc = 1 if q.flow.is_urllc else 0
-                    self.placement.record_samples(c, [(urllc, 0)] * len(dropped))
+                    self.placement.record_samples(c, [(urllc, 0)] * dropped)
 
         if cfg.audit:
             self._audit(t, self.prev_allocations)

@@ -70,8 +70,8 @@ def queue_mix(queues, now, tti_ms=1.0):
     for q in queues:
         name = q.flow.label
         counts[name] += len(q)
-        for p in q:
-            age = p.age_ms(now, tti_ms)
+        for arrival in q:
+            age = (now - arrival) * tti_ms
             ratio_sums[name] += min(age / q.flow.delay_budget_ms, 2.0) / 2.0
     ratios = {name: (ratio_sums[name] / counts[name] if counts[name] else 0.0)
               for name in CLASS_ORDER}

@@ -8,7 +8,7 @@ delay budget is at most 20 ms, which covers AR and V2X but not video.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 URLLC_BUDGET_THRESHOLD_MS = 20.0
 
@@ -48,65 +48,43 @@ def make_flow(class_name, mean_rate_bps, packet_size_bits=1000):
                     packet_size_bits=packet_size_bits, label=class_name, **spec)
 
 
-@dataclass
-class Packet:
-    size_bits: int
-    arrival_tti: int
-    remaining_bits: int = field(default=-1)
-
-    def __post_init__(self):
-        if self.remaining_bits < 0:
-            self.remaining_bits = self.size_bits
-        if not (0 <= self.remaining_bits <= self.size_bits):
-            raise ValueError("remaining outside [0, size]")
-
-    def age_ms(self, now_tti, tti_ms=1.0):
-        return (now_tti - self.arrival_tti) * tti_ms
-
-
 class RlcQueue:
     """FIFO of packets for one UE, with HoL aging against a delay budget.
 
-    Arrival TTIs never decrease along the queue (`push` enforces it), so
-    packet ages never increase from head to tail and the expired packets
-    are always a head prefix. The queued totals are running counters.
+    Every packet of a flow has the flow's size and only the head is ever
+    part-served, so the queue holds its packets' arrival TTIs, head first,
+    and the bits of the head already sent. Arrival TTIs never decrease
+    along the queue (`generate_arrivals` enforces it), so packet ages never
+    increase from head to tail and the expired packets are always a head
+    prefix.
     """
 
     def __init__(self, flow: FlowSpec, tti_ms=1.0):
         self.flow = flow
         self.tti_ms = tti_ms
-        self._packets: deque[Packet] = deque()
-        self._queued_bits = 0
-        self._queued_remaining_bits = 0
+        self._arrivals: deque[int] = deque()
+        self._head_sent = 0
 
     def __len__(self):
-        return len(self._packets)
+        return len(self._arrivals)
 
     def __iter__(self):
-        return iter(self._packets)
+        """The queued packets' arrival TTIs, head first."""
+        return iter(self._arrivals)
 
     @property
     def queued_bits(self):
-        return self._queued_bits
+        return len(self._arrivals) * self.flow.packet_size_bits
 
     @property
     def queued_remaining_bits(self):
-        return self._queued_remaining_bits
+        return self.queued_bits - self._head_sent
 
     def hol_delay_ms(self, now_tti, extra_ms=0.0):
         """Effective age of the head packet; 0 for an empty queue."""
-        if not self._packets:
+        if not self._arrivals:
             return 0.0
-        return self._packets[0].age_ms(now_tti, self.tti_ms) + extra_ms
-
-    def push(self, packet: Packet):
-        if self._packets and packet.arrival_tti < self._packets[-1].arrival_tti:
-            raise ValueError(
-                f"packet from TTI {packet.arrival_tti} behind the tail's "
-                f"TTI {self._packets[-1].arrival_tti}")
-        self._packets.append(packet)
-        self._queued_bits += packet.size_bits
-        self._queued_remaining_bits += packet.remaining_bits
+        return (now_tti - self._arrivals[0]) * self.tti_ms + extra_ms
 
     def arrival_rate(self, rate_scale=1.0):
         """Mean packet arrivals per TTI at the flow's mean bit rate."""
@@ -115,11 +93,11 @@ class RlcQueue:
 
     def generate_arrivals(self, now_tti, count):
         """Queue `count` fresh packets, a Poisson draw at `arrival_rate`."""
-        fresh = [Packet(self.flow.packet_size_bits, now_tti)
-                 for _ in range(count)]
-        for p in fresh:
-            self.push(p)
-        return fresh
+        if count > 0 and self._arrivals and now_tti < self._arrivals[-1]:
+            raise ValueError(
+                f"packets from TTI {now_tti} behind the tail's "
+                f"TTI {self._arrivals[-1]}")
+        self._arrivals.extend([now_tti] * count)
 
     def drop_expired(self, now_tti, extra_ms=0.0):
         """Remove packets strictly older than the budget; keeps FIFO order.
@@ -127,43 +105,42 @@ class RlcQueue:
         `extra_ms` is the placement-dependent processing delay added to
         every packet's effective age. The expired packets are a head
         prefix, so this pops from the head until a packet is in budget.
+        Returns the number dropped.
         """
         budget = self.flow.delay_budget_ms
-        packets = self._packets
-        dropped = []
-        while packets and (packets[0].age_ms(now_tti, self.tti_ms) + extra_ms
-                           > budget):
-            p = packets.popleft()
-            self._queued_bits -= p.size_bits
-            self._queued_remaining_bits -= p.remaining_bits
-            dropped.append(p)
+        arrivals = self._arrivals
+        dropped = 0
+        while arrivals and ((now_tti - arrivals[0]) * self.tti_ms + extra_ms
+                            > budget):
+            arrivals.popleft()
+            dropped += 1
+        if dropped:
+            self._head_sent = 0
         return dropped
 
     def serve(self, budget_bits, now_tti, extra_ms=0.0):
         """Drain head-of-line packets with `budget_bits` of capacity.
 
-        Partial service decrements a packet's remaining bits. A packet
-        that completes within its (effective) budget counts as delivered;
-        one that completes late is removed but reported as expired.
-        Returns (delivered, expired).
+        Partial service adds to the head's sent bits. A packet that
+        completes within its (effective) budget counts as delivered; one
+        that completes late is removed but reported as expired. Returns
+        (the delivered packets' effective ages, the expired count).
         """
-        delivered = []
-        expired = []
         budget = int(budget_bits)
         if budget < 0:
             raise ValueError("negative service budget")
-        while budget > 0 and self._packets:
-            head = self._packets[0]
-            take = min(head.remaining_bits, budget)
-            head.remaining_bits -= take
-            self._queued_remaining_bits -= take
-            budget -= take
-            if head.remaining_bits == 0:
-                self._packets.popleft()
-                self._queued_bits -= head.size_bits
-                age = head.age_ms(now_tti, self.tti_ms) + extra_ms
-                if age <= self.flow.delay_budget_ms:
-                    delivered.append(head)
-                else:
-                    expired.append(head)
-        return delivered, expired
+        size = self.flow.packet_size_bits
+        limit = self.flow.delay_budget_ms
+        arrivals = self._arrivals
+        ages = []
+        expired = 0
+        sent = self._head_sent + budget
+        while arrivals and sent >= size:
+            sent -= size
+            age = (now_tti - arrivals.popleft()) * self.tti_ms + extra_ms
+            if age <= limit:
+                ages.append(age)
+            else:
+                expired += 1
+        self._head_sent = sent if arrivals else 0
+        return ages, expired

@@ -190,6 +190,17 @@ def test_missing_config_file_exits_2(capsys, tmp_path):
     assert "nope.conf" in err
 
 
+def test_key_set_twice_exits_2_and_names_key(capsys, tmp_path):
+    p = tmp_path / "twice.conf"
+    p.write_text("sim.ttis = 5\n# comment\nsim.n_cells = 2\nsim.ttis = 7\n")
+    code, out, err = run_cli(capsys, "run", "--config", str(p), "--out",
+                             str(tmp_path / "out"))
+    assert code == 2
+    assert out == "" and "sim.ttis" in err
+    assert "line 4" in err and "line 1" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_key_exits_2_and_names_key(capsys, tmp_path):
     p = tmp_path / "bad.conf"
     p.write_text("sim.wat = 1\n")
@@ -482,6 +493,28 @@ def test_compare_doubled_series_ratio_two(capsys, tmp_path):
     assert got
     for r in got:
         assert float(r["ratio"]) == pytest.approx(2.0)
+
+
+def test_compare_rejects_a_json_aggregate_naming_it(capsys, tmp_path):
+    a = run_to(capsys, tmp_path, "a")
+    b = run_to(capsys, tmp_path, "b", "--format", "json")
+    json_path = str(b / "aggregate.json")
+    code, out, err = run_cli(capsys, "compare", str(a / "aggregate.csv"),
+                             json_path)
+    assert code == 2
+    assert out == ""
+    assert json_path in err and "Traceback" not in err
+
+
+def test_compare_rejects_a_csv_with_another_header_naming_it(capsys, tmp_path):
+    a = run_to(capsys, tmp_path, "a")
+    other = tmp_path / "other.csv"
+    other.write_text("a,b\n1,2\n")
+    code, out, err = run_cli(capsys, "compare", str(other),
+                             str(a / "aggregate.csv"))
+    assert code == 2
+    assert out == ""
+    assert str(other) in err
 
 
 def test_compare_needs_two_files(capsys, tmp_path):

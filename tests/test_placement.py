@@ -22,7 +22,7 @@ from oransim.placement import (
     relocation_ratio,
 )
 from oransim.ran import compute_cqi
-from oransim.traffic import CLASS_ORDER, Packet, RlcQueue, make_flow
+from oransim.traffic import CLASS_ORDER, RlcQueue, make_flow
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -66,9 +66,9 @@ def test_epoch_without_samples_earns_zero():
 def make_queues(now=10):
     qv = RlcQueue(make_flow("video", 1.0))
     qa = RlcQueue(make_flow("ar", 1.0))
-    qv.push(Packet(1000, arrival_tti=now - 30))
-    qa.push(Packet(1000, arrival_tti=now - 2))
-    qa.push(Packet(1000, arrival_tti=now))
+    qv.generate_arrivals(now - 30, 1)
+    qa.generate_arrivals(now - 2, 1)
+    qa.generate_arrivals(now, 1)
     return [qv, qa]
 
 
@@ -87,12 +87,12 @@ def oracle_queue_mix(queues, now, tti_ms=1.0):
     total = urllc = bits = 0
     for q in queues:
         name = q.flow.label
-        for p in q:
-            age = p.age_ms(now, tti_ms)
+        for arrival in q:
+            age = (now - arrival) * tti_ms
             counts[name] += 1
             ratio_sums[name] += min(age / q.flow.delay_budget_ms, 2.0) / 2.0
             total += 1
-            bits += p.size_bits
+            bits += q.flow.packet_size_bits
             if q.flow.is_urllc:
                 urllc += 1
     ratios = {name: (ratio_sums[name] / counts[name] if counts[name] else 0.0)
@@ -101,9 +101,8 @@ def oracle_queue_mix(queues, now, tti_ms=1.0):
 
 
 random_queues = st.lists(st.tuples(
-    st.sampled_from(CLASS_ORDER),
-    st.lists(st.tuples(st.integers(0, 400), st.integers(1, 4000)),
-             max_size=6)), max_size=6)
+    st.sampled_from(CLASS_ORDER), st.integers(1, 4000),
+    st.lists(st.integers(0, 400), max_size=6)), max_size=6)
 
 
 @settings(max_examples=100, deadline=None)
@@ -111,10 +110,10 @@ random_queues = st.lists(st.tuples(
 def test_queue_shares_and_mix_equal_the_per_packet_count(spec, tti_ms):
     now = 400
     queues = []
-    for name, packets in spec:
-        q = RlcQueue(make_flow(name, 1.0), tti_ms)
-        for arrival, size in sorted(packets):
-            q.push(Packet(size, arrival))
+    for name, size, arrivals in spec:
+        q = RlcQueue(make_flow(name, 1.0, packet_size_bits=size), tti_ms)
+        for arrival in sorted(arrivals):
+            q.generate_arrivals(arrival, 1)
         q.serve(1500, now)   # may leave a partly served head
         queues.append(q)
     expected = oracle_queue_mix(queues, now, tti_ms)

@@ -17,7 +17,7 @@ from oransim.scheduler import (
     scheduler_reward,
     select_slot_ues,
 )
-from oransim.traffic import CLASS_ORDER, Packet, RlcQueue, make_flow
+from oransim.traffic import CLASS_ORDER, RlcQueue, make_flow
 
 from test_a2c import chain_steps
 
@@ -118,7 +118,7 @@ def test_hol_at_budget_encodes_half():
     cfg = SchedulerConfig(slot_count=1)
     ue = make_ue(0, cqi=15)
     q = RlcQueue(make_flow("ar", 1.0))  # 10 ms budget
-    q.push(Packet(1000, arrival_tti=0))
+    q.generate_arrivals(0, 1)
     ctx = make_ctx([ue], {0: q}, now=10)
     slots = select_slot_ues(ctx, cfg)
     obs = build_observation(ObservationGrid(ctx, slots, {0: 1000}, cfg), 0)
@@ -132,9 +132,8 @@ def test_observation_features_bounded():
     ues = [make_ue(i, cqi) for i, cqi in enumerate((1, 8, 15))]
     queues = {}
     for i, name in enumerate(("video", "ar", "v2x")):
-        q = RlcQueue(make_flow(name, 1.0))
-        for k in range(5):
-            q.push(Packet(90_000, arrival_tti=0))
+        q = RlcQueue(make_flow(name, 1.0, packet_size_bits=90_000))
+        q.generate_arrivals(0, 5)
         queues[i] = q
     ctx = make_ctx(ues, queues, now=400)
     slots = select_slot_ues(ctx, cfg)
@@ -178,9 +177,11 @@ def test_grid_observations_equal_the_per_slot_build(data):
     for i in range(draw(st.integers(0, 7))):
         cqis = draw(st.lists(st.integers(1, 15), min_size=n_rbg, max_size=n_rbg))
         ues.append(Ue(i, (0.0, 0.0), 0, cqi_per_rbg=np.array(cqis)))
-        q = RlcQueue(make_flow(draw(st.sampled_from(CLASS_ORDER)), 1.0), tti_ms)
+        flow = make_flow(draw(st.sampled_from(CLASS_ORDER)), 1.0,
+                         packet_size_bits=draw(st.integers(1, 3000)))
+        q = RlcQueue(flow, tti_ms)
         for arrival in sorted(draw(st.lists(st.integers(0, now), max_size=4))):
-            q.push(Packet(draw(st.integers(1, 3000)), arrival))
+            q.generate_arrivals(arrival, 1)
         queues[i] = q
     ctx = CellTti(cell=toy_cell(n_rbg), ues=ues, queues=queues, now=now,
                   age_offset_ms=draw(st.sampled_from([0.0, 2.0])),
@@ -222,10 +223,10 @@ def test_overflow_keeps_most_important_then_longest_hol():
         2: RlcQueue(make_flow("v2x", 1.0)),    # priority 25 <- kept
         3: RlcQueue(make_flow("video", 1.0)),  # priority 40, older head
     }
-    queues[0].push(Packet(1000, arrival_tti=8))
-    queues[1].push(Packet(1000, arrival_tti=0))
-    queues[2].push(Packet(1000, arrival_tti=9))
-    queues[3].push(Packet(1000, arrival_tti=2))
+    queues[0].generate_arrivals(8, 1)
+    queues[1].generate_arrivals(0, 1)
+    queues[2].generate_arrivals(9, 1)
+    queues[3].generate_arrivals(2, 1)
     ctx = make_ctx(ues, queues, now=10)
     slots = select_slot_ues(ctx, cfg)
     # v2x (prio 25) and the older video queue win; slot order is by ue_id
@@ -253,8 +254,7 @@ def test_single_backlogged_ue_gets_every_rbg():
     learned = spy_learn(agent)
     ue = make_ue(0, 15, n_rbg=4)
     q = RlcQueue(make_flow("video", 1.0))
-    for _ in range(10):  # demand far above one TTI of capacity
-        q.push(Packet(1000, arrival_tti=0))
+    q.generate_arrivals(0, 10)  # demand far above one TTI of capacity
     ctx = make_ctx([ue], {0: q}, n_rbg=4)
     out = schedule_tti(agent, ctx, cfg, np.random.default_rng(1))
     assert np.all(out.allocation == 0)
@@ -267,8 +267,8 @@ def test_covered_demand_masks_remaining_rbgs():
     cfg = SchedulerConfig(slot_count=2)
     agent = make_agent(cfg)
     ue = make_ue(0, 15, n_rbg=4)
-    q = RlcQueue(make_flow("video", 1.0))
-    q.push(Packet(500, arrival_tti=0))  # one RBG at CQI 15 covers it
+    q = RlcQueue(make_flow("video", 1.0, packet_size_bits=500))
+    q.generate_arrivals(0, 1)  # one RBG at CQI 15 covers it
     ctx = make_ctx([ue], {0: q}, n_rbg=4)
     out = schedule_tti(agent, ctx, cfg, np.random.default_rng(1))
     assert out.allocation[0] == 0
@@ -280,8 +280,7 @@ def test_blocked_rbgs_stay_unassigned():
     agent = make_agent(cfg)
     ue = make_ue(0, 15, n_rbg=4)
     q = RlcQueue(make_flow("video", 1.0))
-    for _ in range(10):
-        q.push(Packet(1000, arrival_tti=0))
+    q.generate_arrivals(0, 10)
     ctx = make_ctx([ue], {0: q}, n_rbg=4, blocked=(0, 2))
     out = schedule_tti(agent, ctx, cfg, np.random.default_rng(1))
     assert out.allocation[0] == UNASSIGNED
@@ -296,8 +295,7 @@ def test_fully_blocked_cell_decides_and_learns_nothing():
     rng = np.random.default_rng(1)
     ue = make_ue(0, 15, n_rbg=3)
     q = RlcQueue(make_flow("ar", 1.0))
-    for _ in range(10):
-        q.push(Packet(1000, arrival_tti=0))
+    q.generate_arrivals(0, 10)
     params, rng_state = copy.deepcopy(agent), rng.bit_generator.state
     out = schedule_tti(agent, make_ctx([ue], {0: q}, n_rbg=3, blocked=(0, 1, 2)),
                        cfg, rng)
@@ -315,8 +313,7 @@ def test_empty_queue_ue_never_assigned():
     agent = make_agent(cfg, seed=5)
     ues = [make_ue(i, 10, n_rbg=6) for i in range(3)]
     queues = {i: RlcQueue(make_flow("video", 1.0)) for i in range(3)}
-    for _ in range(20):
-        queues[1].push(Packet(1000, arrival_tti=0))
+    queues[1].generate_arrivals(0, 20)
     ctx = make_ctx(ues, queues, n_rbg=6)
     out = schedule_tti(agent, ctx, cfg, np.random.default_rng(2))
     assigned = set(out.allocation.tolist()) - {UNASSIGNED}
@@ -330,8 +327,7 @@ def test_masking_disabled_wastes_rbgs_on_invalid_picks():
     rng = np.random.default_rng(6)
     ue = make_ue(1, 12, n_rbg=8)
     q = RlcQueue(make_flow("video", 1.0))
-    for _ in range(20):
-        q.push(Packet(1000, arrival_tti=0))
+    q.generate_arrivals(0, 20)
     out = schedule_tti(agent, make_ctx([ue], {1: q}, n_rbg=8), cfg, rng)
     # the near-uniform fresh policy picks empty slots ~3/4 of the time
     assert (out.allocation == UNASSIGNED).sum() > 0
@@ -353,8 +349,7 @@ def test_training_disabled_leaves_agent_bitwise_identical():
     queues = {0: RlcQueue(make_flow("ar", 1.0)),
               1: RlcQueue(make_flow("video", 1.0))}
     for i in (0, 1):
-        for _ in range(5):
-            queues[i].push(Packet(1000, arrival_tti=0))
+        queues[i].generate_arrivals(0, 5)
     schedule_tti(agent, make_ctx(ues, queues), cfg, np.random.default_rng(3))
     after = agent.actor.weights + agent.critic.weights
     for w, old in zip(after, before):
@@ -369,9 +364,8 @@ def test_rewards_in_range_and_aligned_with_transitions():
     ues = [make_ue(i, int(c), n_rbg=4) for i, c in enumerate((15, 8, 2))]
     queues = {}
     for i, name in enumerate(("ar", "video", "v2x")):
-        q = RlcQueue(make_flow(name, 1.0))
-        for k in range(6):
-            q.push(Packet(2000, arrival_tti=0))
+        q = RlcQueue(make_flow(name, 1.0, packet_size_bits=2000))
+        q.generate_arrivals(0, 6)
         queues[i] = q
     out = schedule_tti(agent, make_ctx(ues, queues, now=3, n_rbg=4), cfg, rng)
     [steps] = learned
@@ -392,9 +386,8 @@ def test_schedule_deterministic_given_seed(seed):
         ues = [make_ue(i, 5 + i, n_rbg=3) for i in range(3)]
         queues = {}
         for i, name in enumerate(("ar", "video", "v2x")):
-            q = RlcQueue(make_flow(name, 1.0))
-            for k in range(4):
-                q.push(Packet(1500, arrival_tti=0))
+            q = RlcQueue(make_flow(name, 1.0, packet_size_bits=1500))
+            q.generate_arrivals(0, 4)
             queues[i] = q
         out = schedule_tti(agent, make_ctx(ues, queues, n_rbg=3), cfg, rng)
         return out.allocation.tolist(), [t.reward for t in learned[0]]

@@ -6,7 +6,6 @@ from oransim.traffic import (
     CLASS_ORDER,
     TRAFFIC_CLASSES,
     FlowSpec,
-    Packet,
     RlcQueue,
     make_flow,
 )
@@ -49,8 +48,10 @@ def test_flow_validation():
 # ----------------------------------------------------------------- arrivals
 
 def arrive(q, t, rng):
-    """One TTI's arrivals, drawn at the queue's arrival rate."""
-    return q.generate_arrivals(t, rng.poisson(q.arrival_rate()))
+    """One TTI's arrivals, drawn at the queue's arrival rate; the count."""
+    n = int(rng.poisson(q.arrival_rate()))
+    q.generate_arrivals(t, n)
+    return n
 
 
 def test_zero_rate_never_generates():
@@ -58,7 +59,7 @@ def test_zero_rate_never_generates():
     rng = np.random.default_rng(0)
     assert q.arrival_rate() == 0.0
     for t in range(1000):
-        assert arrive(q, t, rng) == []
+        assert arrive(q, t, rng) == 0
     assert len(q) == 0
 
 
@@ -67,10 +68,9 @@ def test_long_run_arrival_rate_within_two_percent():
     q = queue_for(rate=rate)
     rng = np.random.default_rng(42)
     ttis = 100_000
-    arrived_bits = 0
     for t in range(ttis):
-        arrived_bits += sum(p.size_bits for p in arrive(q, t, rng))
-    realized_bps = arrived_bits / (ttis * 1e-3)
+        arrive(q, t, rng)
+    realized_bps = q.queued_bits / (ttis * 1e-3)
     assert realized_bps == pytest.approx(rate, rel=0.02)
 
 
@@ -89,11 +89,12 @@ def test_arrivals_take_the_drawn_count():
     q = queue_for("ar", rate=256_000.0)
     assert q.arrival_rate() == 256_000.0 * 1.0 / 1000.0 / 1000
     assert q.arrival_rate(0.5) == q.arrival_rate() * 0.5
-    fresh = q.generate_arrivals(4, 3)
-    assert len(fresh) == len(q) == 3
-    assert all(p.arrival_tti == 4 for p in fresh)
+    q.generate_arrivals(4, 3)
+    assert len(q) == 3
+    assert list(q) == [4, 4, 4]
     assert q.queued_bits == q.queued_remaining_bits == 3000
-    assert q.generate_arrivals(5, 0) == []
+    q.generate_arrivals(5, 0)
+    assert list(q) == [4, 4, 4]
 
 
 def test_same_seed_same_arrival_sequence():
@@ -102,47 +103,58 @@ def test_same_seed_same_arrival_sequence():
         rng = np.random.default_rng(7)
         counts = []
         for t in range(500):
-            counts.append(len(arrive(q, t, rng)))
-        return counts
+            counts.append(arrive(q, t, rng))
+        return counts, list(q)
 
     assert run() == run()
+
+
+def test_generate_arrivals_behind_the_tail_raises_and_leaves_the_queue():
+    q = queue_for("ar")
+    q.generate_arrivals(5, 1)
+    q.generate_arrivals(5, 1)   # equal TTIs are fine
+    q.serve(300, now_tti=5)
+    with pytest.raises(ValueError):
+        q.generate_arrivals(4, 2)
+    assert list(q) == [5, 5]
+    assert q.queued_bits == 2000 and q.queued_remaining_bits == 1700
+    q.generate_arrivals(4, 0)   # a zero count stays a no-op
+    assert list(q) == [5, 5]
 
 
 # ------------------------------------------------------------------- expiry
 
 def test_drop_on_empty_queue():
-    assert queue_for().drop_expired(100) == []
+    assert queue_for().drop_expired(100) == 0
 
 
 def test_packet_aged_exactly_budget_is_retained():
     q = queue_for("ar")  # 10 ms budget
-    q.push(Packet(1000, arrival_tti=0))
-    assert q.drop_expired(now_tti=10) == []
+    q.generate_arrivals(0, 1)
+    assert q.drop_expired(now_tti=10) == 0
     assert len(q) == 1
 
 
 def test_packet_one_tti_over_budget_is_dropped():
     q = queue_for("ar")
-    q.push(Packet(1000, arrival_tti=0))
-    dropped = q.drop_expired(now_tti=11)
-    assert len(dropped) == 1
+    q.generate_arrivals(0, 1)
+    assert q.drop_expired(now_tti=11) == 1
     assert len(q) == 0
 
 
 def test_drop_preserves_survivor_order():
     q = queue_for("ar")
-    q.push(Packet(1000, arrival_tti=0))
-    q.push(Packet(1000, arrival_tti=5))
-    q.push(Packet(1000, arrival_tti=6))
-    q.drop_expired(now_tti=12)
-    assert [p.arrival_tti for p in q] == [5, 6]
+    for t in (0, 5, 6):
+        q.generate_arrivals(t, 1)
+    assert q.drop_expired(now_tti=12) == 1
+    assert list(q) == [5, 6]
 
 
 def test_extra_delay_shifts_expiry():
     q = queue_for("ar")
-    q.push(Packet(1000, arrival_tti=0))
-    assert q.drop_expired(now_tti=8, extra_ms=0.0) == []
-    assert len(q.drop_expired(now_tti=8, extra_ms=3.0)) == 1  # 8 + 3 > 10
+    q.generate_arrivals(0, 1)
+    assert q.drop_expired(now_tti=8, extra_ms=0.0) == 0
+    assert q.drop_expired(now_tti=8, extra_ms=3.0) == 1  # 8 + 3 > 10
 
 
 # -------------------------------------------------------------------- serve
@@ -150,52 +162,48 @@ def test_extra_delay_shifts_expiry():
 def test_serve_with_ample_budget_empties_queue():
     q = queue_for("video")
     for t in range(3):
-        q.push(Packet(1000, arrival_tti=t))
-    delivered, expired = q.serve(10_000, now_tti=5)
-    assert len(delivered) == 3 and not expired
-    assert sum(p.size_bits for p in delivered) == 3000
+        q.generate_arrivals(t, 1)
+    ages, expired = q.serve(10_000, now_tti=5)
+    assert ages == [5.0, 4.0, 3.0] and expired == 0
     assert len(q) == 0 and q.queued_remaining_bits == 0
 
 
 def test_serve_zero_budget_is_noop():
     q = queue_for("video")
-    q.push(Packet(1000, 0))
-    delivered, expired = q.serve(0, now_tti=1)
-    assert (delivered, expired) == ([], [])
-    assert next(iter(q)).remaining_bits == 1000
+    q.generate_arrivals(0, 1)
+    assert q.serve(0, now_tti=1) == ([], 0)
+    assert len(q) == 1
     assert q.queued_remaining_bits == 1000
 
 
 def test_partial_service_across_two_calls():
     q = queue_for("video")
-    q.push(Packet(1000, 0))
-    d1, _ = q.serve(600, now_tti=1)
-    assert d1 == []
-    assert next(iter(q)).remaining_bits == 400
+    q.generate_arrivals(0, 1)
+    assert q.serve(600, now_tti=1) == ([], 0)
+    assert len(q) == 1
     assert q.queued_remaining_bits == 400
-    d2, _ = q.serve(600, now_tti=2)
-    assert len(d2) == 1 and len(q) == 0  # 200 bits of budget left unused
+    ages, _ = q.serve(600, now_tti=2)
+    assert ages == [2.0] and len(q) == 0  # 200 bits of budget left unused
+    assert q.queued_remaining_bits == 0
 
 
 def test_completion_after_budget_counts_expired_not_delivered():
     q = queue_for("ar")
-    q.push(Packet(1000, arrival_tti=0))
-    delivered, expired = q.serve(1000, now_tti=11)
-    assert delivered == [] and len(expired) == 1
+    q.generate_arrivals(0, 1)
+    assert q.serve(1000, now_tti=11) == ([], 1)
 
 
 def test_serve_respects_extra_delay_for_delivery():
     q = queue_for("ar")
-    q.push(Packet(1000, arrival_tti=0))
-    delivered, expired = q.serve(1000, now_tti=8, extra_ms=3.0)
-    assert delivered == [] and len(expired) == 1  # 8 + 3 > 10
+    q.generate_arrivals(0, 1)
+    assert q.serve(1000, now_tti=8, extra_ms=3.0) == ([], 1)  # 8 + 3 > 10
 
 
 def test_hol_delay_tracks_head_and_extra():
     q = queue_for("video")
     assert q.hol_delay_ms(50) == 0.0
-    q.push(Packet(1000, arrival_tti=10))
-    q.push(Packet(1000, arrival_tti=40))
+    q.generate_arrivals(10, 1)
+    q.generate_arrivals(40, 1)
     assert q.hol_delay_ms(50) == 40.0
     assert q.hol_delay_ms(50, extra_ms=2.0) == 42.0
     q.serve(1000, now_tti=50)
@@ -211,11 +219,11 @@ def test_packets_conserved_under_random_workload(seed):
     q = queue_for("ar", rate=2_000_000.0)
     arrived = delivered = dropped = 0
     for t in range(300):
-        arrived += len(arrive(q, t, rng))
-        d, x = q.serve(int(rng.integers(0, 4000)), t)
-        delivered += len(d)
-        dropped += len(x)
-        dropped += len(q.drop_expired(t))
+        arrived += arrive(q, t, rng)
+        ages, late = q.serve(int(rng.integers(0, 4000)), t)
+        delivered += len(ages)
+        dropped += late
+        dropped += q.drop_expired(t)
         assert arrived == delivered + dropped + len(q)
 
 
@@ -224,29 +232,21 @@ def test_packets_conserved_under_random_workload(seed):
 def test_no_delivered_packet_over_budget(seed):
     rng = np.random.default_rng(seed)
     q = queue_for("ar", rate=1_500_000.0)
+    budget = q.flow.delay_budget_ms
     for t in range(200):
         arrive(q, t, rng)
-        delivered, _ = q.serve(int(rng.integers(0, 3000)), t)
-        for p in delivered:
-            assert p.age_ms(t) <= q.flow.delay_budget_ms
+        before = list(q)
+        ages, _ = q.serve(int(rng.integers(0, 3000)), t)
+        served = before[:len(before) - len(q)]
+        assert ages == [float(t - a) for a in served if t - a <= budget]
+        assert all(age <= budget for age in ages)
         q.drop_expired(t)
 
 
-# --------------------------------------------------------- running counters
-
-def test_push_rejects_packet_older_than_tail():
-    q = queue_for("ar")
-    q.push(Packet(1000, arrival_tti=5))
-    q.push(Packet(1000, arrival_tti=5))   # equal TTIs are fine
-    with pytest.raises(ValueError):
-        q.push(Packet(1000, arrival_tti=4))
-    assert len(q) == 2
-    assert q.queued_bits == 2000
-
+# ------------------------------------------------------ per-packet reference
 
 queue_ops = st.lists(st.one_of(
-    st.tuples(st.just("push"), st.integers(0, 3), st.integers(1, 3000),
-              st.integers(0, 3000)),
+    st.tuples(st.just("arrive"), st.integers(0, 3), st.integers(0, 3)),
     st.tuples(st.just("serve"), st.integers(0, 4), st.integers(0, 5000),
               st.sampled_from([0.0, 2.0])),
     st.tuples(st.just("drop"), st.integers(0, 4), st.sampled_from([0.0, 2.0,
@@ -255,31 +255,44 @@ queue_ops = st.lists(st.one_of(
 
 
 @settings(max_examples=150, deadline=None)
-@given(queue_ops, st.sampled_from([1.0, 0.5]))
-def test_running_counters_match_recomputed_sums(ops, tti_ms):
-    q = RlcQueue(make_flow("ar", 1.0), tti_ms)
+@given(queue_ops, st.sampled_from([1.0, 0.5]), st.integers(1, 3000))
+def test_queue_matches_a_per_packet_model(ops, tti_ms, size):
+    q = RlcQueue(make_flow("ar", 1.0, packet_size_bits=size), tti_ms)
+    budget = q.flow.delay_budget_ms
+    model = []   # one [arrival_tti, remaining_bits] per queued packet
+
+    def age(packet, now, extra):
+        return (now - packet[0]) * tti_ms + extra
+
     now = 0
     for op in ops:
-        if op[0] == "push":
-            _, gap, size, remaining = op
-            now += gap
-            q.push(Packet(size, arrival_tti=now,
-                          remaining_bits=min(remaining, size)))
+        now += op[1]
+        if op[0] == "arrive":
+            q.generate_arrivals(now, op[2])
+            model.extend([now, size] for _ in range(op[2]))
         elif op[0] == "serve":
-            _, gap, bits, extra = op
-            now += gap
-            q.serve(bits, now, extra)
+            _, _, bits, extra = op
+            ages, late = [], 0
+            while bits > 0 and model:
+                take = min(model[0][1], bits)
+                model[0][1] -= take
+                bits -= take
+                if model[0][1] == 0:
+                    a = age(model.pop(0), now, extra)
+                    if a <= budget:
+                        ages.append(a)
+                    else:
+                        late += 1
+            assert q.serve(op[2], now, extra) == (ages, late)
         else:
-            _, gap, extra = op
-            now += gap
-            before = list(q)
-            expired = [p.age_ms(now, tti_ms) + extra > q.flow.delay_budget_ms
-                       for p in before]
-            # the same packets as filtering the whole queue, in order
-            dropped = q.drop_expired(now, extra)
-            assert [id(p) for p in dropped] == [
-                id(p) for p, x in zip(before, expired) if x]
-            assert [id(p) for p in q] == [
-                id(p) for p, x in zip(before, expired) if not x]
-        assert q.queued_bits == sum(p.size_bits for p in q)
-        assert q.queued_remaining_bits == sum(p.remaining_bits for p in q)
+            extra = op[2]
+            kept = [p for p in model if age(p, now, extra) <= budget]
+            assert q.drop_expired(now, extra) == len(model) - len(kept)
+            model = kept
+        assert len(q) == len(model)
+        assert list(q) == [a for a, _ in model]
+        assert q.queued_bits == size * len(model)
+        assert q.queued_remaining_bits == sum(r for _, r in model)
+        for extra in (0.0, 2.0):
+            assert q.hol_delay_ms(now, extra) == (
+                age(model[0], now, extra) if model else 0.0)
