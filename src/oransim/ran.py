@@ -98,12 +98,11 @@ def compute_cqi(ue: Ue, cell: Cell, cfg: RanConfig, rng=None):
 
 
 def cqi_vector(base, interfered, penalty):
-    """`base` on every RBG, knocked down by `penalty` (floored at CQI 1)
-    where the bool row `interfered` is set."""
-    cqi = np.empty(len(interfered), dtype=int)
-    cqi.fill(base)   # as np.full, at a third of its call overhead
-    cqi[interfered] = max(base - penalty, CQI_MIN)
-    return cqi
+    """The base CQI knocked down by `penalty` (floored at CQI 1) where the
+    bool `interfered` is set. Broadcasts: one UE's base CQI and its cell's
+    collided row give its CQI per RBG, and a column of base CQIs with the
+    rows of their UEs' cells gives the (UEs x RBGs) matrix."""
+    return np.where(interfered, np.maximum(base - penalty, CQI_MIN), base)
 
 
 def rbg_capacity(cqi: int) -> int:

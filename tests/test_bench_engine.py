@@ -61,9 +61,8 @@ def bench(benchmark, group, fn):
 
 
 def test_bench_channel_update(benchmark, sim):
-    groups = cell_ues(sim)
     bench(benchmark, "engine-channel",
-          lambda: sim._update_channel(groups, sim._changing_channel))
+          lambda: sim._update_channel(sim._changing_channel))
 
 
 def test_bench_channel_per_ue_reference(benchmark, sim):

@@ -517,6 +517,25 @@ def test_compare_rejects_a_csv_with_another_header_naming_it(capsys, tmp_path):
     assert str(other) in err
 
 
+def test_compare_rejects_a_non_numeric_metric_naming_its_place(capsys, tmp_path):
+    a = run_to(capsys, tmp_path, "a")
+    with open(a / "aggregate.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    rows[-1]["pdr"] = "abc"
+    bad = tmp_path / "bad.csv"
+    with open(bad, "w", newline="") as fh:
+        w = csv.DictWriter(fh, fieldnames=list(CSV_HEADER), lineterminator="\n")
+        w.writeheader()
+        w.writerows(rows)
+    code, out, err = run_cli(capsys, "compare", str(a / "aggregate.csv"),
+                             str(bad))
+    assert code == 2
+    assert out == ""
+    # the header is line 1
+    assert f"{bad}, line {len(rows) + 1}, column pdr: 'abc'" in err
+    assert "Traceback" not in err
+
+
 def test_compare_needs_two_files(capsys, tmp_path):
     code, _, err = run_cli(capsys, "compare", "only-one.csv")
     assert code == 2

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import math
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -208,6 +209,26 @@ def test_static_ues_draw_nothing_and_never_move():
     assert fixed.rng_mobility.bit_generator.state == untouched.bit_generator.state
 
 
+@pytest.mark.parametrize("duplicate", [
+    copy.deepcopy, lambda sim: pickle.loads(pickle.dumps(sim))],
+    ids=["deepcopy", "pickle"])
+def test_a_copied_simulation_steps_as_the_original(duplicate):
+    cfg = small_agents(desk_config(scenario="mobile", urllc_density=0.3,
+                                   ttis=30))
+    sim = Simulation(cfg)
+    for t in range(10):
+        sim.step(t)
+    twin = duplicate(sim)
+    for t in range(10, cfg.ttis):
+        sim.step(t)
+        twin.step(t)
+        for ue, other in zip(sim.ues, twin.ues):
+            assert np.array_equal(ue.cqi_per_rbg, other.cqi_per_rbg), (
+                t, ue.ue_id)
+            assert not other.cqi_per_rbg.flags.writeable
+    assert twin.ledger.state_dict() == sim.ledger.state_dict()
+
+
 def test_setting_up_a_simulation_builds_no_run_cache():
     sim = Simulation(small_agents(desk_config(ttis=5)))
     assert sim._base_cqi is None
@@ -283,6 +304,98 @@ def test_random_small_configs_pass_the_audit_and_conserve_packets(p):
                                        + tot.dropped_packets + queued[cls])
     epochs = math.ceil(cfg.ttis / cfg.placement.epoch_ttis)
     assert len(led.placement_events) == epochs * cfg.n_cells
+
+
+# ----------------------------------------------------------- audit sabotage
+# Each run breaks one invariant once, from SABOTAGE_TTI on, and records
+# where; the audit must stop the run at that TTI with that check's message.
+
+SABOTAGE_TTI = 5
+
+
+def audit_message(sim):
+    with pytest.raises(AuditError) as raised:
+        sim.run()
+    return str(raised.value)
+
+
+def test_audit_catches_a_packet_lost_without_a_drop(monkeypatch):
+    real = RlcQueue.drop_expired
+    lost = []
+
+    def leaky(q, now_tti, extra_ms=0.0):
+        dropped = real(q, now_tti, extra_ms)
+        if not lost and now_tti >= SABOTAGE_TTI and len(q):
+            q._arrivals.pop()   # neither queued nor reported dropped
+            lost.append((now_tti, q.flow.label))
+        return dropped
+
+    monkeypatch.setattr(RlcQueue, "drop_expired", leaky)
+    message = audit_message(Simulation(small_agents(desk_config(ttis=30))))
+    t, cls = lost[0]
+    assert message == f"TTI {t}: packet conservation broken for {cls}"
+
+
+def test_audit_catches_an_extra_arrived_bit(monkeypatch):
+    real = MetricsLedger.record_arrivals
+    padded = []
+
+    def pad(led, tti, cls, n_packets, bits):
+        if not padded and tti >= SABOTAGE_TTI and n_packets:
+            bits += 1
+            padded.append((tti, cls))
+        real(led, tti, cls, n_packets, bits)
+
+    monkeypatch.setattr(MetricsLedger, "record_arrivals", pad)
+    message = audit_message(Simulation(small_agents(desk_config(ttis=30))))
+    t, cls = padded[0]
+    assert message == f"TTI {t}: bit conservation broken for {cls}"
+
+
+def test_audit_catches_a_grant_to_another_cells_ue(monkeypatch):
+    sim = Simulation(small_agents(desk_config(ttis=30)))
+    real = engine.schedule_tti
+    granted = []
+
+    def trespass(agent, ctx, *args):
+        out = real(agent, ctx, *args)
+        if not granted and ctx.now >= SABOTAGE_TTI:
+            c = ctx.cell.cell_id
+            foreign = next(ue.ue_id for ue in sim.ues
+                           if ue.serving_cell_id != c)
+            out.allocation[0] = foreign
+            granted.append((ctx.now, c, foreign))
+        return out
+
+    monkeypatch.setattr(engine, "schedule_tti", trespass)
+    message = audit_message(sim)
+    t, c, foreign = granted[0]
+    assert message == (f"TTI {t}: cell {c} granted an RBG to foreign "
+                       f"UE {foreign}")
+
+
+def test_audit_catches_a_vehicle_outside_the_arena(monkeypatch):
+    sim = Simulation(small_agents(desk_config(
+        scenario="mobile", urllc_density=0.3, ttis=30)))
+    n_vehicles = sum(ue.mobile for ue in sim.ues)
+    real = engine.step_mobility
+    moves = []
+    astray = []
+
+    def wander(ue, dt_s, bounds, cells, rng):
+        real(ue, dt_s, bounds, cells, rng)
+        t = len(moves) // n_vehicles   # every vehicle moves once per TTI
+        moves.append(ue.ue_id)
+        if not astray and t >= SABOTAGE_TTI:
+            (_, _), (xmax, _) = bounds
+            ue.position = (xmax + 1.0, ue.position[1])
+            astray.append((t, ue.ue_id))
+        return ue
+
+    monkeypatch.setattr(engine, "step_mobility", wander)
+    message = audit_message(sim)
+    t, ue_id = astray[0]
+    assert message == f"TTI {t}: UE {ue_id} left the arena"
 
 
 @pytest.fixture
