@@ -159,25 +159,10 @@ class Simulation:
         self._changing_channel = (self.ues if self.cfg.ran.shadow_sigma_db > 0.0
                                   else self._vehicles)
         self._base_cqi = np.zeros(len(self.ues), dtype=int)
-        # every UE's CQI per RBG, one row per UE
-        self._cqi = np.zeros((len(self.ues), self.cfg.n_rbg), dtype=int)
-        self._bind_cqi_rows()
         self._arriving = [q for q in self.queues.values()
                           if q.arrival_rate(self.rate_scale) > 0.0]
         self._arrival_rates = np.array(
             [q.arrival_rate(self.rate_scale) for q in self._arriving])
-
-    def _bind_cqi_rows(self):
-        """Make each UE's `cqi_per_rbg` a read-only view of its matrix row."""
-        for ue, row in zip(self.ues, self._cqi):
-            row.flags.writeable = False
-            ue.cqi_per_rbg = row
-
-    def __setstate__(self, state):
-        # a copy or unpickling turns each view into an array of its own
-        self.__dict__.update(state)
-        if self._base_cqi is not None:
-            self._bind_cqi_rows()
 
     def _arrivals(self, t):
         """One Poisson draw over the queues with a positive rate, in UE id
@@ -193,11 +178,12 @@ class Simulation:
                                         n * q.flow.packet_size_bits)
 
     def _update_channel(self, refresh):
-        """Every UE's CQI per RBG from last TTI's allocations.
+        """Every UE's CQI per RBG from last TTI's allocations: `self.cqi`,
+        a fresh read-only (UEs x RBGs) matrix, row = UE id.
 
         The base CQIs of the `refresh` UEs are recomputed, in UE id order;
-        the others keep theirs. Each UE's row of the CQI matrix is then its
-        base CQI, with the penalty on the RBGs its cell collided on.
+        the others keep theirs. Each UE's row is then its base CQI, with
+        the penalty on the RBGs its cell collided on.
         """
         cfg = self.cfg.ran
         collided = build_interference_view(self.prev_allocations)
@@ -207,8 +193,9 @@ class Simulation:
                 ue, self.cells[ue.serving_cell_id], cfg, self.rng_channel)
         interfered = collided.take([ue.serving_cell_id for ue in self.ues],
                                    axis=0)
-        self._cqi[...] = cqi_vector(self._base_cqi[:, None], interfered,
-                                    cfg.interference_cqi_penalty)
+        self.cqi = cqi_vector(self._base_cqi[:, None], interfered,
+                              cfg.interference_cqi_penalty)
+        self.cqi.flags.writeable = False
 
     def step(self, t):
         cfg = self.cfg
@@ -248,8 +235,8 @@ class Simulation:
             c = cell.cell_id
             extra = self.placement.age_offset_ms(c)
             ctx = CellTti(
-                cell=cell, ues=ues, queues=self.queues, now=t,
-                age_offset_ms=extra,
+                cell=cell, ues=ues, queues=self.queues, cqi=self.cqi,
+                now=t, age_offset_ms=extra,
                 blocked_rbgs=set(cu_taken) if c in cu_group else set())
             learn = None
             if learner is not None:
@@ -705,6 +692,6 @@ def run_batch(cfg: SimConfig, allow_out_of_envelope=False) -> BatchResult:
     """Execute cfg.runs independent simulations with derived seeds seed+i."""
     validate_config(cfg, allow_out_of_envelope)
     ledgers = _run_ledgers(cfg)
-    rows = [ledger_rows(led, cfg.mode) for led in ledgers]
+    rows = [ledger_rows(led, cfg.mode, cfg.ttis) for led in ledgers]
     return BatchResult(config=cfg, ledgers=ledgers, rows_per_run=rows,
                        aggregate=aggregate_rows(rows))

@@ -88,9 +88,6 @@ class MetricsLedger:
     def classes(self):
         return [c for c in CLASS_ORDER if c in self.totals]
 
-    def window_ids(self):
-        return sorted({w for w, _ in self.windows})
-
     def _stats_in_range(self, cls, tti_range):
         """Sum of window stats whose window starts inside [start, end)."""
         agg = ClassWindowStats()
@@ -108,7 +105,8 @@ class MetricsLedger:
         return agg
 
     def pdr(self, cls, tti_range):
-        """delivered / (delivered + dropped); None when nothing was decided."""
+        """delivered / (delivered + dropped); None when nothing arrived or
+        nothing was decided in the range."""
         s = self._stats_in_range(cls, tti_range)
         decided = s.delivered + s.dropped
         if s.arrived == 0 or decided == 0:
@@ -146,15 +144,17 @@ class MetricsLedger:
         return self.state_dict() == other.state_dict()
 
 
-def ledger_rows(ledger: MetricsLedger, mode):
-    """Time-series rows in CSV column order, sorted by (window, class).
+def ledger_rows(ledger: MetricsLedger, mode, ttis):
+    """Time-series rows in CSV column order, sorted by (window, class): one
+    per class seen in the run for every window of its `ttis` TTIs, with or
+    without data.
 
     The du/cu columns carry the window's placement-count split, shared by
     every class row.
     """
     rows = []
     classes = ledger.classes()
-    for w in ledger.window_ids():
+    for w in range(-(-ttis // ledger.window_ttis)):
         rng = (w * ledger.window_ttis, (w + 1) * ledger.window_ttis)
         ratio = relocation_ratio(ledger.placement_events, rng)
         for cls in classes:

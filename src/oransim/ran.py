@@ -10,7 +10,7 @@ HARQ, no uplink.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +60,6 @@ class Ue:
     ue_id: int
     position: tuple[float, float]
     serving_cell_id: int
-    cqi_per_rbg: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
     waypoint: tuple[float, float] | None = None
     speed_mps: float = 0.0
 

@@ -43,6 +43,7 @@ class CellTti:
     cell: Cell
     ues: list                      # UEs served by this cell
     queues: dict                   # ue_id -> RlcQueue
+    cqi: np.ndarray                # every UE's CQI per RBG, row = UE id
     now: int
     age_offset_ms: float = 0.0
     blocked_rbgs: set = field(default_factory=set)
@@ -127,7 +128,7 @@ class ObservationGrid:
             row[2] = 1.0 - flow.priority / 100.0
             row[3] = 1.0 if flow.is_urllc else 0.0
             row[4] = min(uncovered_bits[ue.ue_id] / self.buffer_cap_bits, 1.0)
-            self.cqi[i] = ue.cqi_per_rbg
+            self.cqi[i] = ctx.cqi[ue.ue_id]
             self.valid[i] = True
         self.cqi /= 15.0
 
@@ -189,13 +190,13 @@ def schedule_tti(agent: A2cAgent, ctx: CellTti, cfg: SchedulerConfig, rng,
         if valid[action]:
             ue = slot_ues[action]
             q = ctx.queues[ue.ue_id]
-            candidate_cqis = [u.cqi_per_rbg[rbg]
+            candidate_cqis = [ctx.cqi[u.ue_id, rbg]
                               for u, ok in zip(slot_ues, valid) if ok]
             hol = q.hol_delay_ms(ctx.now, ctx.age_offset_ms)
-            reward = scheduler_reward(ue.cqi_per_rbg[rbg], candidate_cqis,
+            reward = scheduler_reward(ctx.cqi[ue.ue_id, rbg], candidate_cqis,
                                       q.flow, hol)
             allocation[rbg] = ue.ue_id
-            cap = rbg_capacity(int(ue.cqi_per_rbg[rbg]))
+            cap = rbg_capacity(int(ctx.cqi[ue.ue_id, rbg]))
             granted[ue.ue_id] = granted.get(ue.ue_id, 0) + cap
             uncovered[ue.ue_id] -= cap
             grid.grant(action, uncovered[ue.ue_id])

@@ -251,15 +251,17 @@ def test_criterion_6_scheduler_learning_sanity():
                            critic_hidden=100, rng_seed=0)
     rng = np.random.default_rng(0)
     cell = Cell(cell_id=0, position=(0.0, 0.0), n_rbg=2)
-    ue0 = Ue(0, (0.0, 0.0), 0, cqi_per_rbg=np.full(2, 15))   # URLLC, CQI 15
-    ue1 = Ue(1, (0.0, 0.0), 0, cqi_per_rbg=np.full(2, 3))    # video, CQI 3
+    ue0 = Ue(0, (0.0, 0.0), 0)   # URLLC, CQI 15
+    ue1 = Ue(1, (0.0, 0.0), 0)   # video, CQI 3
+    cqi = np.array([[15, 15], [3, 3]])   # row = UE id, one column per RBG
     queues = {0: RlcQueue(make_flow("ar", 2_000_000.0)),
               1: RlcQueue(make_flow("video", 4_000_000.0))}
     probs = []
     for t in range(2000):
         for q in queues.values():
             q.generate_arrivals(t, rng.poisson(q.arrival_rate()))
-        ctx = CellTti(cell=cell, ues=[ue0, ue1], queues=queues, now=t)
+        ctx = CellTti(cell=cell, ues=[ue0, ue1], queues=queues, cqi=cqi,
+                      now=t)
         if len(queues[0]) and len(queues[1]):
             slots = select_slot_ues(ctx, cfg)
             unc = {i: queues[i].queued_remaining_bits for i in queues}

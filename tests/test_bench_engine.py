@@ -99,7 +99,8 @@ def busiest_cell(sim):
     cfg = sim.cfg.sched
     ues = max(cell_ues(sim), key=len)
     cell = sim.cells[ues[0].serving_cell_id]
-    ctx = CellTti(cell=cell, ues=ues, queues=sim.queues, now=WARM_TTIS)
+    ctx = CellTti(cell=cell, ues=ues, queues=sim.queues, cqi=sim.cqi,
+                  now=WARM_TTIS)
     slots = select_slot_ues(ctx, cfg)
     uncovered = {ue.ue_id: sim.queues[ue.ue_id].queued_remaining_bits
                  for ue in slots if ue is not None}
@@ -136,7 +137,7 @@ def bench_queues(benchmark, group, sim, work):
 
 def test_bench_rlc_serve(benchmark, sim):
     # one RBG at the UE's CQI on RBG 0 for every backlogged queue
-    grants = [(ue.ue_id, rbg_capacity(int(ue.cqi_per_rbg[0])),
+    grants = [(ue.ue_id, rbg_capacity(int(sim.cqi[ue.ue_id, 0])),
                sim.placement.age_offset_ms(ue.serving_cell_id))
               for ue in sim.ues if len(sim.queues[ue.ue_id])]
     assert grants

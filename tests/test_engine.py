@@ -94,7 +94,34 @@ def test_zero_ttis_gives_empty_ledger():
     led = res.ledgers[0]
     assert led.windows == {}
     assert led.placement_events == []
-    assert ledger_rows(led, cfg.mode) == []
+    assert ledger_rows(led, cfg.mode, cfg.ttis) == []
+
+
+@pytest.mark.parametrize("window_ttis", [1, 7])
+def test_every_window_gets_its_rows_with_or_without_data(window_ttis):
+    # two UEs at 20 kbps: most windows see no packet event, and some
+    # placement epochs fall in such a window
+    cfg = desk_config(n_cells=1, n_ues=2, ttis=30, window_ttis=window_ttis)
+    cfg.traffic.ue_rate_bps = 20_000.0
+    batch = run_batch(cfg)
+    led = batch.ledgers[0]
+    windows = range(math.ceil(cfg.ttis / window_ttis))
+    keys = [(w * window_ttis, cls) for w in windows for cls in led.classes()]
+    rows = batch.rows_per_run[0]
+    assert [(r["window_start_tti"], r["class"]) for r in rows] == keys
+    assert [(r["window_start_tti"], r["class"])
+            for r in batch.aggregate] == keys
+    empty = 0
+    for r in rows:
+        start = r["window_start_tti"]
+        span = (start, start + window_ttis)
+        ratio = relocation_ratio(led.placement_events, span)
+        assert (r["du_ratio"], r["cu_ratio"]) == (ratio or (None, None))
+        if (start // window_ttis, r["class"]) not in led.windows:
+            empty += 1
+            assert r["mean_hol_ms"] is None and r["pdr"] is None
+            assert r["throughput_kbps"] == 0.0
+    assert empty > 0 and led.placement_events
 
 
 def test_identical_config_and_seed_bitwise_identical_ledgers():
@@ -153,9 +180,10 @@ def test_every_cqi_equals_a_fresh_compute_cqi(scenario, penalty, shadow_db):
             cell = sim.cells[ue.serving_cell_id]
             fresh = cqi_vector(compute_cqi(ue, cell, cfg.ran, channel),
                                np.array(collided[cell.cell_id]), penalty)
-            assert ue.cqi_per_rbg.dtype == fresh.dtype
-            assert np.array_equal(ue.cqi_per_rbg, fresh), (t, ue.ue_id)
-            assert not ue.cqi_per_rbg.flags.writeable
+            row = sim.cqi[ue.ue_id]
+            assert row.dtype == fresh.dtype
+            assert np.array_equal(row, fresh), (t, ue.ue_id)
+            assert not row.flags.writeable
         assert channel.bit_generator.state == sim.rng_channel.bit_generator.state
     assert sim.interference_events == events > 0
     if shadow_db == 0.0:
@@ -222,10 +250,8 @@ def test_a_copied_simulation_steps_as_the_original(duplicate):
     for t in range(10, cfg.ttis):
         sim.step(t)
         twin.step(t)
-        for ue, other in zip(sim.ues, twin.ues):
-            assert np.array_equal(ue.cqi_per_rbg, other.cqi_per_rbg), (
-                t, ue.ue_id)
-            assert not other.cqi_per_rbg.flags.writeable
+        assert np.array_equal(sim.cqi, twin.cqi), t
+        assert not twin.cqi.flags.writeable
     assert twin.ledger.state_dict() == sim.ledger.state_dict()
 
 
@@ -462,7 +488,7 @@ def test_runs_are_order_independent(runs, two_lanes):
     assert len(batch.ledgers) == runs
     for a, b in zip(batch.ledgers, solo):
         assert a == b
-    rows = [ledger_rows(led, cfg.mode) for led in solo]
+    rows = [ledger_rows(led, cfg.mode, cfg.ttis) for led in solo]
     assert aggregate_rows(rows) == batch.aggregate
 
 
